@@ -37,6 +37,8 @@ class Dataset:
         for i, m in enumerate(mats):
             if m.shape[0] != d:
                 raise DimensionMismatch(f"sample {i} has ambient dimension {m.shape[0]}, expected {d}")
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"sample {i} has non-finite entries")
         times = times.copy()
         times.flags.writeable = False
         frozen = []
@@ -66,10 +68,3 @@ class Dataset:
     def column_stack(self) -> np.ndarray:
         """All samples concatenated column-wise, shape d x total_columns."""
         return np.concatenate(self.matrices, axis=1)
-
-    def packed(self) -> np.ndarray | None:
-        """Samples as one (T, d, ell) array when every ell agrees, else None."""
-        ell = self.matrices[0].shape[1]
-        if any(m.shape[1] != ell for m in self.matrices):
-            return None
-        return np.stack(self.matrices)

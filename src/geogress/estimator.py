@@ -36,6 +36,11 @@ positive ones through the identity f(x; t, phi) = f(x; -t, -phi).
    Block descent also crawls past 8k columns at low noise; the bound is
    where the fits the acceptance criteria were set on begin (see
    `_EDGE_COLUMNS_PER_RANK`), not where the step stops helping.
+
+The loss is a sum over data columns, so every dataset, ragged or not, is
+handled as one d x N column stack with a time per column (`_Columns`):
+the loss, both block updates and the public functions built on them share
+that one kernel.
 """
 
 from __future__ import annotations
@@ -157,6 +162,77 @@ class AngleConstants:
 
 
 # ---------------------------------------------------------------------------
+# The column-stack kernel
+
+
+class _Columns:
+    """A dataset as one d x N column stack X with a time tau per column.
+
+    The loss and both block updates are sums over columns, so ragged and
+    uniform-width data take the same kernel: U(tau)^T x is cos(theta tau)
+    times H^T x plus sin(theta tau) times Y^T x, elementwise, and the
+    per-sample sums of the angle constants are segment sums over the
+    sample start offsets.
+    """
+
+    def __init__(self, dataset: Dataset):
+        widths = [m.shape[1] for m in dataset.matrices]
+        self.x = dataset.column_stack()
+        self.tau = np.repeat(dataset.times, widths)
+        self.starts = np.cumsum([0, *widths[:-1]])
+
+    def project(self, H, Y):
+        """[H Y]^T X, shape 2k x N."""
+        return np.concatenate([H, Y], axis=1).T @ self.x
+
+    def evaluate(self, H, Y, theta, proj=None, with_loss: bool = True):
+        """Weighted loadings at (H, Y, theta) and (optionally) the residual loss.
+
+        With c = U(tau)^T x the loadings of each column, the weighted
+        loadings [cos(theta tau) c; sin(theta tau) c] (2k x N) give both the
+        projections [H Y] times them and the Procrustes target.  The residual
+        is formed explicitly: ||X||^2 - ||c||^2 cancels catastrophically at
+        the noise floors the fits reach.  `proj` is `project(H, Y)` if the
+        caller has it.
+        """
+        if proj is None:
+            proj = self.project(H, Y)
+        k = H.shape[1]
+        angles = theta[:, None] * self.tau[None, :]
+        cos_all, sin_all = np.cos(angles), np.sin(angles)
+        coords = cos_all * proj[:k] + sin_all * proj[k:]
+        weighted = np.concatenate([cos_all * coords, sin_all * coords])
+        if not with_loss:
+            return weighted, None
+        resid = self.x - np.concatenate([H, Y], axis=1) @ weighted
+        return weighted, float(np.sum(resid * resid))
+
+    def update_bases(self, weighted):
+        """Polar factor of the Procrustes target X weighted^T, and whether it kept full rank."""
+        d, k = self.x.shape[0], weighted.shape[0] // 2
+        w, sv, vt = np.linalg.svd(self.x @ weighted.T, full_matrices=False)
+        rank_ok = sv[0] > 0.0 and sv[-1] > sv[0] * max(d, 2 * k) * np.finfo(float).eps
+        q = w @ vt
+        return q[:, :k], q[:, k:], rank_ok
+
+    def constants(self, proj) -> AngleConstants:
+        """Angle constants per sample from `project(H, Y)`."""
+        k = proj.shape[0] // 2
+        a, c = proj[:k], proj[k:]
+        sums = np.add.reduceat(np.concatenate([a * a, c * a, c * c]), self.starts, axis=1).T
+        alpha, beta, gamma = sums[:, :k], sums[:, k : 2 * k], sums[:, 2 * k :]
+        half_diff = 0.5 * (alpha - gamma)
+        return AngleConstants(
+            alpha=alpha,
+            beta=beta,
+            gamma=gamma,
+            r=np.hypot(half_diff, beta),
+            phi=np.arctan2(beta, half_diff),
+            b=0.5 * (alpha + gamma),
+        )
+
+
+# ---------------------------------------------------------------------------
 # Loss and reconstruction
 
 
@@ -168,28 +244,16 @@ def _check_dims(dataset: Dataset, model: GeodesicModel) -> None:
 def loss(dataset: Dataset, model: GeodesicModel) -> float:
     """Projection residual sum_i ||X_i - U(t_i) U(t_i)^T X_i||_F^2 (non-negative)."""
     _check_dims(dataset, model)
-    packed = dataset.packed()
-    if packed is not None:
-        bases = model.evaluate_path(dataset.times)
-        coords = np.einsum("ndk,ndl->nkl", bases, packed)
-        resid = packed - np.einsum("ndk,nkl->ndl", bases, coords)
-        return float(np.sum(resid * resid))
-    total = 0.0
-    for t, x in zip(dataset.times, dataset.matrices):
-        u = model.evaluate(t)
-        resid = x - u @ (u.T @ x)
-        total += float(np.sum(resid * resid))
-    return total
+    return _Columns(dataset).evaluate(model.H, model.Y, model.theta)[1]
 
 
 def reconstruct(dataset: Dataset, model: GeodesicModel) -> list[np.ndarray]:
     """Per-sample projections U(t_i) (U(t_i)^T X_i) onto the model's subspaces."""
     _check_dims(dataset, model)
-    out = []
-    for t, x in zip(dataset.times, dataset.matrices):
-        u = model.evaluate(t)
-        out.append(u @ (u.T @ x))
-    return out
+    columns = _Columns(dataset)
+    weighted, _ = columns.evaluate(model.H, model.Y, model.theta, with_loss=False)
+    fitted = np.concatenate([model.H, model.Y], axis=1) @ weighted
+    return np.split(fitted, columns.starts[1:], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -206,34 +270,16 @@ def basis_update(dataset: Dataset, model: GeodesicModel) -> tuple[np.ndarray, np
     M is reported through RankCollapseWarning; the factors remain valid.
     """
     _check_dims(dataset, model)
-    d, k = model.d, model.k
-    cos_all = np.cos(np.multiply.outer(dataset.times, model.theta))
-    sin_all = np.sin(np.multiply.outer(dataset.times, model.theta))
-    packed = dataset.packed()
-    if packed is not None:
-        bases = model.evaluate_path(dataset.times)
-        coords = np.einsum("ndk,ndl->nkl", bases, packed)
-        proj = np.einsum("ndl,nkl->ndk", packed, coords)
-        m_cos = np.einsum("ndk,nk->dk", proj, cos_all)
-        m_sin = np.einsum("ndk,nk->dk", proj, sin_all)
-    else:
-        m_cos = np.zeros((d, k))
-        m_sin = np.zeros((d, k))
-        for i, (t, x) in enumerate(zip(dataset.times, dataset.matrices)):
-            u = model.evaluate(t)
-            p = x @ (x.T @ u)
-            m_cos += p * cos_all[i]
-            m_sin += p * sin_all[i]
-    target = np.concatenate([m_cos, m_sin], axis=1)
-    w, sv, vt = np.linalg.svd(target, full_matrices=False)
-    if sv[0] == 0.0 or sv[-1] <= sv[0] * max(d, 2 * k) * np.finfo(float).eps:
+    columns = _Columns(dataset)
+    weighted, _ = columns.evaluate(model.H, model.Y, model.theta, with_loss=False)
+    H, Y, rank_ok = columns.update_bases(weighted)
+    if not rank_ok:
         warnings.warn(
             "Procrustes target is numerically rank deficient; some basis columns are unconstrained by the data",
             RankCollapseWarning,
             stacklevel=2,
         )
-    q = w @ vt
-    return q[:, :k], q[:, k:]
+    return H, Y
 
 
 # ---------------------------------------------------------------------------
@@ -252,33 +298,48 @@ def angle_constants(dataset: Dataset, H: np.ndarray, Y: np.ndarray) -> AngleCons
         raise DimensionMismatch("H and Y must share a shape")
     if dataset.d != H.shape[0]:
         raise DimensionMismatch(f"dataset has d={dataset.d} but bases have d={H.shape[0]}")
-    T, k = dataset.n_samples, H.shape[1]
-    packed = dataset.packed()
-    if packed is not None:
-        a = np.einsum("dk,ndl->nkl", H, packed)
-        c = np.einsum("dk,ndl->nkl", Y, packed)
-        alpha = np.sum(a * a, axis=2)
-        beta = np.sum(c * a, axis=2)
-        gamma = np.sum(c * c, axis=2)
-    else:
-        alpha = np.zeros((T, k))
-        beta = np.zeros((T, k))
-        gamma = np.zeros((T, k))
-        for i, x in enumerate(dataset.matrices):
-            a = H.T @ x
-            c = Y.T @ x
-            alpha[i] = np.sum(a * a, axis=1)
-            beta[i] = np.sum(c * a, axis=1)
-            gamma[i] = np.sum(c * c, axis=1)
-    half_diff = 0.5 * (alpha - gamma)
-    return AngleConstants(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        r=np.hypot(half_diff, beta),
-        phi=np.arctan2(beta, half_diff),
-        b=0.5 * (alpha + gamma),
-    )
+    columns = _Columns(dataset)
+    return columns.constants(columns.project(H, Y))
+
+
+class _AngleStepper:
+    """The majorize-minimize step on every angle, theta-independent parts hoisted.
+
+    Each (sample, angle) term -r cos(2 theta t - phi) + b gets the
+    curvature weight that `curvature_weight` describes; this is the one
+    place it is computed.  Negative times are reflected to positive ones
+    with phi negated, which leaves each term unchanged.  Samples at t = 0
+    fall out: their derivative amplitude and curvature limit are both zero.
+    """
+
+    def __init__(self, r: np.ndarray, phi: np.ndarray, times: np.ndarray):
+        t = np.abs(times)[:, None]
+        sign = np.sign(times)[:, None]
+        t_safe = np.where(t > 0, t, 1.0)
+        self.phi = phi * sign
+        self.axis = self.phi / (2.0 * t_safe)
+        self.half = np.pi / (2.0 * t_safe)
+        self.period = np.pi / t_safe
+        self.freq = 2.0 * t
+        self.amp = 2.0 * r * t
+        self.limit = 4.0 * t * t * r
+
+    def slopes(self, theta: np.ndarray):
+        """Derivative and curvature weight per (sample, angle) at theta."""
+        deriv = self.amp * np.sin(self.freq * theta[None, :] - self.phi)
+        delta = np.mod(theta[None, :] - self.axis + self.half, self.period) - self.half
+        near_axis = np.abs(delta) <= _AXIS_TOL * self.half
+        weight = np.divide(deriv, delta, out=np.zeros_like(deriv), where=~near_axis)
+        return deriv, np.where(near_axis, self.limit, weight)
+
+    def run(self, theta: np.ndarray, steps: int) -> np.ndarray:
+        """`steps` MM steps: theta_j moves by -(sum_i f'_ij) / (sum_i w_ij)."""
+        for _ in range(steps):
+            deriv, weight = self.slopes(theta)
+            num = np.sum(deriv, axis=0)
+            den = np.sum(weight, axis=0)
+            theta = theta - np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+        return theta
 
 
 def curvature_weight(theta: float, t: float, r: float, phi: float) -> float:
@@ -293,35 +354,9 @@ def curvature_weight(theta: float, t: float, r: float, phi: float) -> float:
     """
     if t <= 0:
         raise NonpositiveTime(f"curvature weight requires t > 0, got t={t}")
-    half = np.pi / (2.0 * t)
-    delta = np.mod((theta - phi / (2.0 * t)) + half, 2.0 * half) - half
-    if abs(delta) <= _AXIS_TOL * half:
-        return float(4.0 * t * t * r)
-    deriv = 2.0 * r * t * np.sin(2.0 * theta * t - phi)
-    return float(deriv / delta)
-
-
-def _angle_arrays(constants: AngleConstants, theta: np.ndarray, times: np.ndarray):
-    """Per-(sample, angle) derivative and curvature arrays, zeroed at t = 0.
-
-    Negative times are reflected to positive ones with phi negated, which
-    leaves each cosine term (and its derivative in theta) unchanged.
-    """
-    t = np.abs(times)[:, None]
-    sign = np.sign(times)[:, None]
-    active = t > 0
-    t_safe = np.where(active, t, 1.0)
-    phi = constants.phi * sign
-    deriv = 2.0 * constants.r * t * np.sin(2.0 * theta[None, :] * t - phi)
-    half = np.pi / (2.0 * t_safe)
-    delta = np.mod((theta[None, :] - phi / (2.0 * t_safe)) + half, 2.0 * half) - half
-    near_axis = np.abs(delta) <= _AXIS_TOL * half
-    weight = np.divide(deriv, delta, out=np.zeros_like(deriv), where=~near_axis)
-    limit = 4.0 * t * t * constants.r
-    weight = np.where(near_axis, limit, weight)
-    deriv = np.where(active, deriv, 0.0)
-    weight = np.where(active, weight, 0.0)
-    return deriv, weight
+    stepper = _AngleStepper(np.full((1, 1), float(r)), np.full((1, 1), float(phi)), np.array([float(t)]))
+    _, weight = stepper.slopes(np.array([float(theta)]))
+    return float(weight[0, 0])
 
 
 def angle_loss_terms(constants: AngleConstants, theta: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -335,7 +370,8 @@ def angle_loss_terms(constants: AngleConstants, theta: np.ndarray, times: np.nda
 def angle_gradient(constants: AngleConstants, theta: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Gradient of the separable angle loss per angle, shape (k,)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    deriv, _ = _angle_arrays(constants, theta, np.asarray(times, dtype=float))
+    stepper = _AngleStepper(constants.r, constants.phi, np.asarray(times, dtype=float))
+    deriv, _ = stepper.slopes(theta)
     return np.sum(deriv, axis=0)
 
 
@@ -347,43 +383,7 @@ def angle_mm_step(constants: AngleConstants, theta: np.ndarray, times: np.ndarra
     the separable loss of any angle.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    deriv, weight = _angle_arrays(constants, theta, np.asarray(times, dtype=float))
-    num = np.sum(deriv, axis=0)
-    den = np.sum(weight, axis=0)
-    step = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
-    return theta - step
-
-
-class _AngleStepper:
-    """Repeated MM steps with the theta-independent quantities hoisted.
-
-    Samples at t = 0 fall out naturally: their derivative amplitude and
-    curvature limit are both zero.
-    """
-
-    def __init__(self, constants: AngleConstants, times: np.ndarray):
-        t = np.abs(times)[:, None]
-        sign = np.sign(times)[:, None]
-        t_safe = np.where(t > 0, t, 1.0)
-        self.phi = constants.phi * sign
-        self.axis = self.phi / (2.0 * t_safe)
-        self.half = np.pi / (2.0 * t_safe)
-        self.period = np.pi / t_safe
-        self.freq = 2.0 * t
-        self.amp = 2.0 * constants.r * t
-        self.limit = 4.0 * t * t * constants.r
-
-    def run(self, theta: np.ndarray, steps: int) -> np.ndarray:
-        for _ in range(steps):
-            deriv = self.amp * np.sin(self.freq * theta[None, :] - self.phi)
-            delta = np.mod(theta[None, :] - self.axis + self.half, self.period) - self.half
-            near_axis = np.abs(delta) <= _AXIS_TOL * self.half
-            weight = np.divide(deriv, delta, out=np.zeros_like(deriv), where=~near_axis)
-            weight = np.where(near_axis, self.limit, weight)
-            num = np.sum(deriv, axis=0)
-            den = np.sum(weight, axis=0)
-            theta = theta - np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
-        return theta
+    return _AngleStepper(constants.r, constants.phi, np.asarray(times, dtype=float)).run(theta, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -416,62 +416,6 @@ def _initial_model(dataset: Dataset, init: InitStrategy) -> GeodesicModel:
     if isinstance(init, EndpointsInit):
         return init_endpoints(dataset, init.k, init.pool_fraction)
     raise TypeError(f"unknown init strategy: {init!r}")
-
-
-class _PackedLoop:
-    """One outer iteration's worth of linear algebra on (T, d, ell) data.
-
-    Mirrors loss/basis_update/angle_constants on pre-stacked arrays so the
-    fit loop touches each intermediate exactly once per iteration.
-    """
-
-    def __init__(self, stacked: np.ndarray, times: np.ndarray):
-        self.x = stacked
-        self.times = times
-        self.d = stacked.shape[1]
-
-    def evaluate(self, H, Y, theta, with_loss: bool = True):
-        """Bases U(t_i), loadings, and (optionally) the residual loss."""
-        angles = self.times[:, None] * theta[None, :]
-        cos_all = np.cos(angles)
-        sin_all = np.sin(angles)
-        bases = H[None, :, :] * cos_all[:, None, :] + Y[None, :, :] * sin_all[:, None, :]
-        coords = np.matmul(bases.transpose(0, 2, 1), self.x)
-        if not with_loss:
-            return cos_all, sin_all, bases, coords, None
-        resid = self.x - np.matmul(bases, coords)
-        return cos_all, sin_all, bases, coords, float(np.sum(resid * resid))
-
-    def update_bases(self, cos_all, sin_all, bases, coords):
-        proj = np.matmul(self.x, coords.transpose(0, 2, 1))
-        target = np.concatenate(
-            [
-                np.sum(proj * cos_all[:, None, :], axis=0),
-                np.sum(proj * sin_all[:, None, :], axis=0),
-            ],
-            axis=1,
-        )
-        k = cos_all.shape[1]
-        w, sv, vt = np.linalg.svd(target, full_matrices=False)
-        rank_ok = sv[0] > 0.0 and sv[-1] > sv[0] * max(self.d, 2 * k) * np.finfo(float).eps
-        q = w @ vt
-        return q[:, :k], q[:, k:], rank_ok
-
-    def constants(self, H, Y):
-        a = np.matmul(H.T, self.x)
-        c = np.matmul(Y.T, self.x)
-        alpha = np.sum(a * a, axis=2)
-        beta = np.sum(c * a, axis=2)
-        gamma = np.sum(c * c, axis=2)
-        half_diff = 0.5 * (alpha - gamma)
-        return AngleConstants(
-            alpha=alpha,
-            beta=beta,
-            gamma=gamma,
-            r=np.hypot(half_diff, beta),
-            phi=np.arctan2(beta, half_diff),
-            b=0.5 * (alpha + gamma),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -683,12 +627,12 @@ class _EdgeStep:
         return None
 
 
-def _edge_step(work: Dataset, k: int) -> _EdgeStep | None:
+def _edge_step(columns: _Columns, k: int) -> _EdgeStep | None:
     """The Gauss-Newton stepper for data near the edge, None elsewhere."""
-    if not _near_edge(work.d, k, work.total_columns):
+    d, n_columns = columns.x.shape
+    if not _near_edge(d, k, n_columns):
         return None
-    widths = [m.shape[1] for m in work.matrices]
-    return _EdgeStep(work.column_stack(), np.repeat(work.times, widths))
+    return _EdgeStep(columns.x, columns.tau)
 
 
 def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
@@ -702,6 +646,12 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
     never increases; an outer iteration whose block updates fail to
     descend numerically (possible only at the floating-point noise floor)
     is reverted and treated as converged.
+
+    Every dataset, ragged or not, is fitted as one d x N column stack with
+    a time per column: an outer iteration is a handful of GEMMs over the
+    stack, one d x 2k SVD and elementwise angle arithmetic.  A Procrustes
+    target that lost rank during the fit is reported once, at the end,
+    through RankCollapseWarning.
 
     For data near the edge N = 2k (at most 8k columns in all, and a dense
     system of at most 1024 unknowns) each outer iteration whose block
@@ -728,45 +678,25 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
         work = dataset.with_times(dataset.times - t_center)
         model = model.shifted_origin(t_center)
 
-    packed = work.packed()
-    if packed is not None:
-        model, losses, iters_run, converged = _fit_packed(packed, work, model, config, callback)
-    else:
-        model, losses, iters_run, converged = _fit_generic(work, model, config, callback)
-
-    if t_center is not None and t_center != 0.0:
-        model = model.shifted_origin(-t_center)
-    trail = np.asarray(losses)
-    trail.flags.writeable = False
-    return FitReport(
-        model=model,
-        loss_per_outer_iter=trail,
-        outer_iters_run=iters_run,
-        wall_time=time.perf_counter() - start,
-        converged=converged,
-    )
-
-
-def _fit_packed(packed: np.ndarray, work: Dataset, model: GeodesicModel, config: EstimatorConfig, callback):
-    """Fused outer loop for uniform-ell data; same iterates as the generic path."""
-    loop = _PackedLoop(packed, work.times)
+    columns = _Columns(work)
+    edge = _edge_step(columns, model.k)
     H, Y, theta = model.H, model.Y, model.theta
-    cos_all, sin_all, bases, coords, current = loop.evaluate(H, Y, theta)
+    weighted, current = columns.evaluate(H, Y, theta)
     losses = [current]
     converged = False
     iters_run = 0
     rank_collapsed = False
-    edge = _edge_step(work, model.k)
     for n in range(1, config.outer_iters + 1):
-        new_H, new_Y, rank_ok = loop.update_bases(cos_all, sin_all, bases, coords)
+        new_H, new_Y, rank_ok = columns.update_bases(weighted)
         rank_collapsed |= not rank_ok
         for _ in range(config.inner_basis_iters - 1):
-            cos_all, sin_all, bases, coords, _ = loop.evaluate(new_H, new_Y, theta, with_loss=False)
-            new_H, new_Y, rank_ok = loop.update_bases(cos_all, sin_all, bases, coords)
+            weighted, _ = columns.evaluate(new_H, new_Y, theta, with_loss=False)
+            new_H, new_Y, rank_ok = columns.update_bases(weighted)
             rank_collapsed |= not rank_ok
-        constants = loop.constants(new_H, new_Y)
-        new_theta = _AngleStepper(constants, work.times).run(theta, config.inner_mm_iters)
-        cos_all, sin_all, bases, coords, candidate = loop.evaluate(new_H, new_Y, new_theta)
+        proj = columns.project(new_H, new_Y)
+        constants = columns.constants(proj)
+        new_theta = _AngleStepper(constants.r, constants.phi, work.times).run(theta, config.inner_mm_iters)
+        weighted, candidate = columns.evaluate(new_H, new_Y, new_theta, proj)
         previous = losses[-1]
         iters_run = n
         if candidate > previous:
@@ -774,9 +704,9 @@ def _fit_packed(packed: np.ndarray, work: Dataset, model: GeodesicModel, config:
             converged = True
             break
         if edge is not None:
-            better = edge.improve(new_H, new_Y, new_theta, previous, candidate, loop.evaluate)
+            better = edge.improve(new_H, new_Y, new_theta, previous, candidate, columns.evaluate)
             if better is not None:
-                new_H, new_Y, new_theta, (cos_all, sin_all, bases, coords, candidate) = better
+                new_H, new_Y, new_theta, (weighted, candidate) = better
         H, Y, theta = new_H, new_Y, new_theta
         losses.append(candidate)
         if callback is not None:
@@ -788,46 +718,18 @@ def _fit_packed(packed: np.ndarray, work: Dataset, model: GeodesicModel, config:
         warnings.warn(
             "Procrustes target was numerically rank deficient during the fit",
             RankCollapseWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-    return GeodesicModel(H, Y, theta), losses, iters_run, converged
 
-
-def _fit_generic(work: Dataset, model: GeodesicModel, config: EstimatorConfig, callback):
-    """Reference outer loop built from the public block operations."""
-
-    def evaluate(H, Y, theta):
-        candidate = GeodesicModel(H, Y, theta)
-        return candidate, loss(work, candidate)
-
-    losses = [loss(work, model)]
-    converged = False
-    iters_run = 0
-    edge = _edge_step(work, model.k)
-    for n in range(1, config.outer_iters + 1):
-        H, Y = basis_update(work, model)
-        for _ in range(config.inner_basis_iters - 1):
-            H, Y = basis_update(work, GeodesicModel(H, Y, model.theta))
-        constants = angle_constants(work, H, Y)
-        theta = model.theta
-        for _ in range(config.inner_mm_iters):
-            theta = angle_mm_step(constants, theta, work.times)
-        candidate, current = evaluate(H, Y, theta)
-        previous = losses[-1]
-        iters_run = n
-        if current > previous:
-            # Numerical non-descent: keep the previous iterate.
-            converged = True
-            break
-        if edge is not None:
-            better = edge.improve(H, Y, theta, previous, current, evaluate)
-            if better is not None:
-                candidate, current = better[-1]
-        model = candidate
-        losses.append(current)
-        if callback is not None:
-            callback(model, current)
-        if (previous - current) < config.rel_loss_tol * max(previous, _TINY):
-            converged = True
-            break
-    return model, losses, iters_run, converged
+    model = GeodesicModel(H, Y, theta)
+    if t_center is not None and t_center != 0.0:
+        model = model.shifted_origin(-t_center)
+    trail = np.asarray(losses)
+    trail.flags.writeable = False
+    return FitReport(
+        model=model,
+        loss_per_outer_iter=trail,
+        outer_iters_run=iters_run,
+        wall_time=time.perf_counter() - start,
+        converged=converged,
+    )

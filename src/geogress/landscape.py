@@ -16,24 +16,8 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DimensionMismatch
-from .estimator import EstimatorConfig, fit
+from .estimator import EstimatorConfig, angle_constants, fit
 from .geodesic import GeodesicModel
-
-
-def _plane_constants(dataset: Dataset):
-    """Cosine constants (r_i, phi_i, b_i) of each sample at the identity basis."""
-    r = np.empty(dataset.n_samples)
-    phi = np.empty(dataset.n_samples)
-    b = np.empty(dataset.n_samples)
-    for i, x in enumerate(dataset.matrices):
-        a = float(np.sum(x[0] * x[0]))
-        c = float(np.sum(x[1] * x[0]))
-        g = float(np.sum(x[1] * x[1]))
-        half_diff = 0.5 * (a - g)
-        r[i] = np.hypot(half_diff, c)
-        phi[i] = np.arctan2(c, half_diff)
-        b[i] = 0.5 * (a + g)
-    return r, phi, b
 
 
 def loss_surface_2d(dataset: Dataset, omega_grid: np.ndarray, theta_grid: np.ndarray) -> np.ndarray:
@@ -42,8 +26,9 @@ def loss_surface_2d(dataset: Dataset, omega_grid: np.ndarray, theta_grid: np.nda
         raise DimensionMismatch(f"surface requires ambient dimension 2, got {dataset.d}")
     omega = np.asarray(omega_grid, dtype=float)
     theta = np.asarray(theta_grid, dtype=float)
-    r, phi, b = _plane_constants(dataset)
-    surface = np.full((omega.size, theta.size), np.sum(b))
+    constants = angle_constants(dataset, np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
+    r, phi = constants.r[:, 0], constants.phi[:, 0]
+    surface = np.full((omega.size, theta.size), np.sum(constants.b))
     for i, t in enumerate(dataset.times):
         surface -= r[i] * np.cos(2.0 * theta[None, :] * t - phi[i] + 2.0 * omega[:, None])
     return surface

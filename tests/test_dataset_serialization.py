@@ -21,12 +21,14 @@ class TestDataset:
     def test_basic_properties(self):
         ds = Dataset(np.array([0.0, 0.5, 1.0]), (np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 3))))
         assert ds.d == 4 and ds.n_samples == 3 and ds.total_columns == 6
-        assert ds.packed() is None
         assert ds.column_stack().shape == (4, 6)
 
-    def test_packed_for_uniform_widths(self):
-        ds = Dataset(np.array([0.0, 1.0]), (np.ones((4, 2)), np.zeros((4, 2))))
-        assert ds.packed().shape == (2, 4, 2)
+    def test_non_finite_entries_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.ones((4, 2))
+            x[2, 1] = bad
+            with pytest.raises(ValueError, match="sample 1"):
+                Dataset(np.array([0.0, 0.5, 1.0]), (np.ones((4, 1)), x, np.ones((4, 3))))
 
     def test_inconsistent_ambient_dimension(self):
         with pytest.raises(DimensionMismatch):
@@ -121,6 +123,13 @@ class TestDatasetFiles:
         path.write_text("geogress-dataset v1 d=2 T=1\nt=1.5\n1.0 2.0\n")
         with pytest.raises(MalformedFile):
             load_dataset(path)
+
+    def test_non_finite_entries_rejected(self, tmp_path):
+        path = tmp_path / "data.txt"
+        for token in ("nan", "inf", "-inf"):
+            path.write_text(f"geogress-dataset v1 d=2 T=2\nt=0.0\n1.0 2.0\nt=1.0\n1.0 {token}\n")
+            with pytest.raises(MalformedFile, match="sample 1"):
+                load_dataset(path)
 
     def test_sample_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "data.txt"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geogress import (
+    AngleConstants,
     Dataset,
     DimensionMismatch,
     EndpointsInit,
@@ -40,6 +41,94 @@ def lstsq_loss(dataset, model):
         g, *_ = np.linalg.lstsq(u, x, rcond=None)
         total += float(np.sum((x - u @ g) ** 2))
     return total
+
+
+def ragged_dataset(seed, d=8, k=2, T=7, sigma=0.5):
+    """Planted data with widths 1-3 on a recentred axis: one sample at t = 0, some at t < 0."""
+    inst = planted_instance(d, k, 3, T, sigma, 1.3, seed=seed)
+    times = inst.dataset.times - inst.dataset.times[T // 2]
+    return Dataset(times, tuple(x[:, : 1 + i % 3] for i, x in enumerate(inst.dataset.matrices)))
+
+
+# Per-sample reference implementations of the estimator's column-stack kernel.
+
+
+def sample_loss(dataset, model):
+    """sum_i ||X_i - U(t_i) U(t_i)^T X_i||^2, one sample at a time."""
+    total = 0.0
+    for t, x in zip(dataset.times, dataset.matrices):
+        u = model.evaluate(t)
+        resid = x - u @ (u.T @ x)
+        total += float(np.sum(resid * resid))
+    return total
+
+
+def sample_basis_target(dataset, model):
+    """Procrustes target sum_i X_i X_i^T U(t_i) [diag cos(theta t_i) | diag sin(theta t_i)]."""
+    target = np.zeros((dataset.d, 2 * model.k))
+    for t, x in zip(dataset.times, dataset.matrices):
+        p = x @ (x.T @ model.evaluate(t))
+        target += np.concatenate([p * np.cos(model.theta * t), p * np.sin(model.theta * t)], axis=1)
+    return target
+
+
+def polar_factor(matrix):
+    w, _, vt = np.linalg.svd(matrix, full_matrices=False)
+    return w @ vt
+
+
+def sample_angle_constants(dataset, H, Y):
+    """Angle constants from the k x ell_i products H^T X_i and Y^T X_i of each sample."""
+    sums = []
+    for x in dataset.matrices:
+        a, c = H.T @ x, Y.T @ x
+        sums.append([np.sum(a * a, axis=1), np.sum(c * a, axis=1), np.sum(c * c, axis=1)])
+    alpha, beta, gamma = np.moveaxis(np.array(sums), 1, 0)
+    half_diff = 0.5 * (alpha - gamma)
+    return AngleConstants(
+        alpha, beta, gamma, np.hypot(half_diff, beta), np.arctan2(beta, half_diff), 0.5 * (alpha + gamma)
+    )
+
+
+def oracle_fit(dataset, model, config):
+    """`fit`'s outer loop built from the per-sample references; returns (trail, iterations run).
+
+    Same stop rules and the same Gauss-Newton step near the edge, judged by
+    this loop's own loss evaluation.  No time centering.
+    """
+
+    def evaluate(H, Y, theta):
+        return (sample_loss(dataset, GeodesicModel(H, Y, theta)),)
+
+    k = model.k
+    edge = None
+    if estimator._near_edge(dataset.d, k, dataset.total_columns):
+        widths = [x.shape[1] for x in dataset.matrices]
+        edge = estimator._EdgeStep(dataset.column_stack(), np.repeat(dataset.times, widths))
+    H, Y, theta = model.H, model.Y, model.theta
+    losses = [sample_loss(dataset, model)]
+    for n in range(1, config.outer_iters + 1):
+        new_H, new_Y = H, Y
+        for _ in range(config.inner_basis_iters):
+            q = polar_factor(sample_basis_target(dataset, GeodesicModel(new_H, new_Y, theta)))
+            new_H, new_Y = q[:, :k], q[:, k:]
+        constants = sample_angle_constants(dataset, new_H, new_Y)
+        new_theta = theta
+        for _ in range(config.inner_mm_iters):
+            new_theta = angle_mm_step(constants, new_theta, dataset.times)
+        (current,) = evaluate(new_H, new_Y, new_theta)
+        previous = losses[-1]
+        if current > previous:
+            return losses, n
+        if edge is not None:
+            better = edge.improve(new_H, new_Y, new_theta, previous, current, evaluate)
+            if better is not None:
+                new_H, new_Y, new_theta, (current,) = better
+        H, Y, theta = new_H, new_Y, new_theta
+        losses.append(current)
+        if previous - current < config.rel_loss_tol * max(previous, np.finfo(float).tiny):
+            return losses, n
+    return losses, config.outer_iters
 
 
 class TestLoss:
@@ -87,6 +176,16 @@ class TestBasisUpdate:
         after = loss(inst.dataset, GeodesicModel(H, Y, inst.truth.theta))
         scale = sum(np.sum(x * x) for x in inst.dataset.matrices)
         assert abs(after - before) <= 1e-12 * scale
+
+    def test_matches_per_sample_target(self):
+        # The update is the polar factor of sum_i X_i X_i^T U(t_i) [cos | sin].
+        for trial in range(5):
+            m = random_geodesic(8, 2, 1.3, seed=400 + trial)
+            uniform = planted_instance(8, 2, 3, 7, 0.5, 1.3, seed=500 + trial).dataset
+            for data in (uniform, ragged_dataset(600 + trial)):
+                H, Y = basis_update(data, m)
+                expected = polar_factor(sample_basis_target(data, m))
+                np.testing.assert_allclose(np.concatenate([H, Y], axis=1), expected, atol=1e-10)
 
     def test_output_is_orthonormal_pair(self):
         inst = planted_instance(12, 3, 1, 8, 0.6, 1.2, seed=8)
@@ -137,12 +236,13 @@ class TestAngleConstants:
     def test_matches_dense_quadratic_forms(self):
         inst = planted_instance(9, 2, 4, 5, 0.7, 1.3, seed=12)
         m = random_geodesic(9, 2, 1.1, seed=13)
-        c = angle_constants(inst.dataset, m.H, m.Y)
-        for i, x in enumerate(inst.dataset.matrices):
-            outer = x @ x.T
-            np.testing.assert_allclose(c.alpha[i], np.diag(m.H.T @ outer @ m.H), rtol=1e-12)
-            np.testing.assert_allclose(c.beta[i], np.diag(m.Y.T @ outer @ m.H), rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(c.gamma[i], np.diag(m.Y.T @ outer @ m.Y), rtol=1e-12)
+        for data in (inst.dataset, ragged_dataset(14, d=9)):
+            c = angle_constants(data, m.H, m.Y)
+            for i, x in enumerate(data.matrices):
+                outer = x @ x.T
+                np.testing.assert_allclose(c.alpha[i], np.diag(m.H.T @ outer @ m.H), rtol=1e-12)
+                np.testing.assert_allclose(c.beta[i], np.diag(m.Y.T @ outer @ m.H), rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(c.gamma[i], np.diag(m.Y.T @ outer @ m.Y), rtol=1e-12)
 
     def test_amplitude_phase_identities(self):
         inst = planted_instance(9, 2, 4, 5, 0.7, 1.3, seed=14)
@@ -309,22 +409,23 @@ class TestFit:
             assert np.all(trail[1:] <= trail[:-1] * (1 + 1e-10))
 
     def test_ragged_and_packed_paths_agree(self):
-        # Uniform-ell data through the fused packed loop (what `fit` takes)
-        # and through the per-sample loop (what ragged data takes), on one
-        # instance outside and one inside the Gauss-Newton gate.  The fits
-        # stop at the default tolerance: past it the two loops' losses differ
-        # only by rounding, which decides when each sees non-descent.
-        cases = (((10, 2, 2, 10, 0.3), 27, False), ((12, 2, 2, 4, 1e-2), 28, True))
-        for (d, k, ell, T, sigma), seed, near in cases:
-            inst = planted_instance(d, k, ell, T, sigma, 1.2, seed=seed)
-            assert inst.dataset.packed() is not None
-            assert estimator._near_edge(d, k, T * ell) == near
-            cfg = EstimatorConfig(init=RandomInit(k, seed=1), outer_iters=30)
-            packed = fit(inst.dataset, cfg)
-            start = random_geodesic(d, k, np.pi / 4, seed=1)
-            _, trail, iters, _ = estimator._fit_generic(inst.dataset, start, cfg, None)
-            assert packed.outer_iters_run == iters
-            np.testing.assert_allclose(packed.loss_per_outer_iter, trail, rtol=1e-9)
+        # `fit` against the per-sample oracle loop, on uniform and ragged
+        # data, outside and inside the Gauss-Newton gate.  The fits stop at
+        # the default tolerance: past it the two losses differ only by
+        # rounding, which decides when each sees non-descent.
+        uniform_out = planted_instance(10, 2, 2, 10, 0.3, 1.2, seed=27).dataset
+        uniform_in = planted_instance(12, 2, 2, 4, 1e-2, 1.2, seed=28).dataset
+        ragged_out = ragged_dataset(29, d=10, T=13, sigma=0.3)
+        ragged_in = ragged_dataset(30, d=12, T=7, sigma=1e-2)
+        cases = ((uniform_out, False), (uniform_in, True), (ragged_out, False), (ragged_in, True))
+        for data, near in cases:
+            assert estimator._near_edge(data.d, 2, data.total_columns) == near
+            cfg = EstimatorConfig(init=RandomInit(2, seed=1), outer_iters=30)
+            report = fit(data, cfg)
+            start = random_geodesic(data.d, 2, np.pi / 4, seed=1)
+            trail, iters = oracle_fit(data, start, cfg)
+            assert report.outer_iters_run == iters
+            np.testing.assert_allclose(report.loss_per_outer_iter, trail, rtol=1e-9)
 
     def test_inner_basis_iters_still_monotone(self):
         inst = planted_instance(16, 2, 1, 12, 1e-2, 1.4, seed=28)
