@@ -16,7 +16,10 @@ steps, neither of which can increase the loss:
    sum over samples of shifted cosines
        f_i(x) = -r_i cos(2 x t_i - phi_i) + b_i,
    each of which admits a quadratic majorizer with the classic sinc-type
-   curvature weight; the summed majorizer has a closed-form minimizer.
+   curvature weight 4 t_i^2 r_i sin(a)/a, where a = 2 x t_i - phi_i is
+   wrapped to [-pi, pi]; one sine of a gives both this weight and the
+   derivative 2 r_i t_i sin(a).  The summed majorizer has a closed-form
+   minimizer.
 
 Samples at t_i = 0 contribute a term constant in theta (their curvature
 weight is undefined), so they are excluded from the angle sums.  Negative
@@ -40,7 +43,9 @@ positive ones through the identity f(x; t, phi) = f(x; -t, -phi).
 The loss is a sum over data columns, so every dataset, ragged or not, is
 handled as one d x N column stack with a time per column (`_Columns`):
 the loss, both block updates and the public functions built on them share
-that one kernel.
+that one kernel.  Its residual is formed explicitly, in one d x N
+workspace allocated with the stack and reused by every loss evaluation of
+a fit.
 """
 
 from __future__ import annotations
@@ -57,10 +62,7 @@ from .errors import DimensionMismatch, InitFailure, NonpositiveTime, RankCollaps
 from .geodesic import GeodesicModel, connect, principal_basis, random_geodesic
 
 _TINY = np.finfo(float).tiny
-
-# Offsets from a cosine axis below this fraction of the half period are
-# rounding noise; the curvature weight uses its limit value there.
-_AXIS_TOL = 1e-9
+_TWO_PI = 2.0 * np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +135,11 @@ class FitReport:
 
     `loss_per_outer_iter[0]` is the loss of the initial model; subsequent
     entries follow each outer iteration and are non-increasing up to
-    floating-point slack.
+    floating-point slack.  `stop_reason` says why the fit ended:
+    "tolerance" (the relative decrease fell below `rel_loss_tol`),
+    "non_descent" (an outer iteration failed to descend and was reverted)
+    or "budget" (`outer_iters` ran out).  `converged` is true for the first
+    two.
     """
 
     model: GeodesicModel
@@ -141,6 +147,7 @@ class FitReport:
     outer_iters_run: int
     wall_time: float
     converged: bool
+    stop_reason: str
 
 
 @dataclass(frozen=True)
@@ -180,6 +187,9 @@ class _Columns:
         self.x = dataset.column_stack()
         self.tau = np.repeat(dataset.times, widths)
         self.starts = np.cumsum([0, *widths[:-1]])
+        # `evaluate` forms its d x N residual here: a fresh temporary per
+        # call costs more in page faults than its arithmetic on wide data.
+        self.resid = np.empty_like(self.x)
 
     def project(self, H, Y):
         """[H Y]^T X, shape 2k x N."""
@@ -191,9 +201,10 @@ class _Columns:
         With c = U(tau)^T x the loadings of each column, the weighted
         loadings [cos(theta tau) c; sin(theta tau) c] (2k x N) give both the
         projections [H Y] times them and the Procrustes target.  The residual
-        is formed explicitly: ||X||^2 - ||c||^2 cancels catastrophically at
-        the noise floors the fits reach.  `proj` is `project(H, Y)` if the
-        caller has it.
+        is formed explicitly, in this object's workspace: ||X||^2 - ||c||^2
+        cancels catastrophically at the noise floors the fits reach.  The
+        returned loadings are a fresh array.  `proj` is `project(H, Y)` if
+        the caller has it.
         """
         if proj is None:
             proj = self.project(H, Y)
@@ -204,8 +215,10 @@ class _Columns:
         weighted = np.concatenate([cos_all * coords, sin_all * coords])
         if not with_loss:
             return weighted, None
-        resid = self.x - np.concatenate([H, Y], axis=1) @ weighted
-        return weighted, float(np.sum(resid * resid))
+        resid = np.matmul(np.concatenate([H, Y], axis=1), weighted, out=self.resid)
+        np.subtract(self.x, resid, out=resid)
+        np.multiply(resid, resid, out=resid)
+        return weighted, float(resid.sum())
 
     def update_bases(self, weighted):
         """Polar factor of the Procrustes target X weighted^T, and whether it kept full rank."""
@@ -314,30 +327,29 @@ class _AngleStepper:
 
     def __init__(self, r: np.ndarray, phi: np.ndarray, times: np.ndarray):
         t = np.abs(times)[:, None]
-        sign = np.sign(times)[:, None]
-        t_safe = np.where(t > 0, t, 1.0)
-        self.phi = phi * sign
-        self.axis = self.phi / (2.0 * t_safe)
-        self.half = np.pi / (2.0 * t_safe)
-        self.period = np.pi / t_safe
+        self.phi = phi * np.sign(times)[:, None]
         self.freq = 2.0 * t
         self.amp = 2.0 * r * t
         self.limit = 4.0 * t * t * r
 
     def slopes(self, theta: np.ndarray):
-        """Derivative and curvature weight per (sample, angle) at theta."""
-        deriv = self.amp * np.sin(self.freq * theta[None, :] - self.phi)
-        delta = np.mod(theta[None, :] - self.axis + self.half, self.period) - self.half
-        near_axis = np.abs(delta) <= _AXIS_TOL * self.half
-        weight = np.divide(deriv, delta, out=np.zeros_like(deriv), where=~near_axis)
-        return deriv, np.where(near_axis, self.limit, weight)
+        """Derivative and curvature weight per (sample, angle) at theta.
+
+        With a = 2 t theta - phi wrapped to [-pi, pi], the derivative is
+        2 r t sin(a) and the weight 4 t^2 r sin(a) / a, whose ratio is 1 at
+        a = 0.
+        """
+        a = self.freq * theta - self.phi
+        a -= _TWO_PI * np.rint(a / _TWO_PI)
+        s = np.sin(a)
+        ratio = np.divide(s, a, out=np.ones_like(a), where=a != 0.0)
+        return self.amp * s, self.limit * ratio
 
     def run(self, theta: np.ndarray, steps: int) -> np.ndarray:
         """`steps` MM steps: theta_j moves by -(sum_i f'_ij) / (sum_i w_ij)."""
         for _ in range(steps):
             deriv, weight = self.slopes(theta)
-            num = np.sum(deriv, axis=0)
-            den = np.sum(weight, axis=0)
+            num, den = deriv.sum(axis=0), weight.sum(axis=0)
             theta = theta - np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
         return theta
 
@@ -346,11 +358,9 @@ def curvature_weight(theta: float, t: float, r: float, phi: float) -> float:
     """Sinc-type curvature of the quadratic majorizer of -r cos(2 theta t - phi).
 
     Equals f'(theta) divided by the distance from theta to the nearest
-    cosine axis (phi + 2 pi m) / (2 t), wrapped to one period; at the axis
-    itself the limit 4 t^2 r is returned.  Within a relative rounding
-    neighborhood of the axis the ratio is noise over noise, so the limit is
-    used there too (it is the correct value to second order).  Non-negative
-    and finite for t > 0, r >= 0.
+    cosine axis (phi + 2 pi m) / (2 t), that is 4 t^2 r sin(a) / a with
+    a = 2 t theta - phi wrapped to [-pi, pi]; at the axis itself the limit
+    4 t^2 r is returned.  Non-negative and finite for t > 0, r >= 0.
     """
     if t <= 0:
         raise NonpositiveTime(f"curvature weight requires t > 0, got t={t}")
@@ -645,7 +655,8 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
     block updates are majorize-minimize steps, so the recorded loss trail
     never increases; an outer iteration whose block updates fail to
     descend numerically (possible only at the floating-point noise floor)
-    is reverted and treated as converged.
+    is reverted and treated as converged.  `FitReport.stop_reason` records
+    which of these ended the fit, or that the budget ran out.
 
     Every dataset, ragged or not, is fitted as one d x N column stack with
     a time per column: an outer iteration is a handful of GEMMs over the
@@ -683,7 +694,7 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
     H, Y, theta = model.H, model.Y, model.theta
     weighted, current = columns.evaluate(H, Y, theta)
     losses = [current]
-    converged = False
+    stop_reason = "budget"
     iters_run = 0
     rank_collapsed = False
     for n in range(1, config.outer_iters + 1):
@@ -701,7 +712,7 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
         iters_run = n
         if candidate > previous:
             # Numerical non-descent: keep the previous iterate.
-            converged = True
+            stop_reason = "non_descent"
             break
         if edge is not None:
             better = edge.improve(new_H, new_Y, new_theta, previous, candidate, columns.evaluate)
@@ -712,7 +723,7 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
         if callback is not None:
             callback(GeodesicModel(H, Y, theta), candidate)
         if (previous - candidate) < config.rel_loss_tol * max(previous, _TINY):
-            converged = True
+            stop_reason = "tolerance"
             break
     if rank_collapsed:
         warnings.warn(
@@ -731,5 +742,6 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
         loss_per_outer_iter=trail,
         outer_iters_run=iters_run,
         wall_time=time.perf_counter() - start,
-        converged=converged,
+        converged=stop_reason != "budget",
+        stop_reason=stop_reason,
     )

@@ -234,8 +234,9 @@ def test_c06_identifiability_below_k_columns():
 
 
 def test_c07_majorizer_suite():
-    """Dominance q >= f - 1e-9 and tangency on 1e4-point grids for 100 random
-    configurations, plus the closed-form curvature limit at touch points."""
+    """Dominance q >= f - 1e-9 on 1e4-point grids and tangency at the mirror
+    point of the expansion point for 100 random configurations, plus the
+    closed-form curvature limit at touch points."""
     start = time.perf_counter()
     rng = np.random.default_rng(70_000)
     worst_gap = 0.0
@@ -255,8 +256,10 @@ def test_c07_majorizer_suite():
         w = curvature_weight(ref, t, r, phi)
         quad = f(ref) + slope * (grid - ref) + 0.5 * w * (grid - ref) ** 2
         worst_gap = max(worst_gap, float(np.max(f(grid) - quad)))
-        quad_at_ref = f(ref) + slope * 0.0 + 0.5 * w * 0.0
-        worst_tangency = max(worst_tangency, abs(quad_at_ref - f(ref)))
+        # besides ref, the majorizer touches f at ref's mirror image in the axis
+        mirror = 2 * phi / (2 * t) - ref
+        quad_at_mirror = f(ref) + slope * (mirror - ref) + 0.5 * w * (mirror - ref) ** 2
+        worst_tangency = max(worst_tangency, abs(quad_at_mirror - f(mirror)))
     # limit value at the cosine axis
     limit_ok = True
     for _ in range(100):
@@ -268,7 +271,10 @@ def test_c07_majorizer_suite():
         limit_ok &= curvature_weight(axis, t, r, phi) == pytest.approx(4 * t * t * r, rel=1e-9, abs=1e-12)
     elapsed = time.perf_counter() - start
     ok = worst_gap <= 1e-9 and worst_tangency <= 1e-12 and limit_ok and elapsed < 30
-    assert report(7, "majorizer suite", ok, f"max dominance gap {worst_gap:.1e}, {elapsed:.1f}s")
+    assert report(
+        7, "majorizer suite", ok,
+        f"max dominance gap {worst_gap:.1e}, max tangency gap {worst_tangency:.1e}, {elapsed:.1f}s",
+    )
 
 
 def test_c08_gradient_check():

@@ -90,6 +90,34 @@ def sample_angle_constants(dataset, H, Y):
     )
 
 
+def reference_slopes(r, phi, times, theta):
+    """The angle step's derivative and curvature weight, as first written.
+
+    The weight is the derivative divided by the distance delta from theta
+    to the nearest cosine axis, wrapped with np.mod; within 1e-9 half
+    periods of the axis it takes the limit 4 t^2 r.
+    """
+    t = np.abs(times)[:, None]
+    sign = np.sign(times)[:, None]
+    t_safe = np.where(t > 0, t, 1.0)
+    phi = phi * sign
+    axis, half, period = phi / (2.0 * t_safe), np.pi / (2.0 * t_safe), np.pi / t_safe
+    deriv = 2.0 * r * t * np.sin(2.0 * t * theta[None, :] - phi)
+    delta = np.mod(theta[None, :] - axis + half, period) - half
+    near_axis = np.abs(delta) <= 1e-9 * half
+    weight = np.divide(deriv, delta, out=np.zeros_like(deriv), where=~near_axis)
+    return deriv, np.where(near_axis, 4.0 * t * t * r, weight)
+
+
+def reference_mm_steps(r, phi, times, theta, steps):
+    """`steps` MM steps on every angle with `reference_slopes`."""
+    for _ in range(steps):
+        deriv, weight = reference_slopes(r, phi, times, theta)
+        num, den = np.sum(deriv, axis=0), np.sum(weight, axis=0)
+        theta = theta - np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+    return theta
+
+
 def oracle_fit(dataset, model, config):
     """`fit`'s outer loop built from the per-sample references; returns (trail, iterations run).
 
@@ -166,6 +194,41 @@ class TestLoss:
         inst = planted_instance(8, 2, 1, 3, 0.1, 1.0, seed=5)
         with pytest.raises(DimensionMismatch):
             loss(inst.dataset, random_geodesic(10, 2, 1.0, seed=6))
+
+
+class TestResidualWorkspace:
+    """`_Columns.evaluate` forms every residual in one workspace per column stack."""
+
+    def test_reuse_keeps_loadings_and_losses(self):
+        uniform = planted_instance(10, 2, 3, 9, 0.3, 1.2, seed=70).dataset
+        for data in (uniform, ragged_dataset(71)):
+            columns = estimator._Columns(data)
+            first, second = (random_geodesic(data.d, 2, 1.0, seed=seed) for seed in (72, 73))
+            weighted, first_loss = columns.evaluate(first.H, first.Y, first.theta)
+            kept = weighted.copy()
+            _, second_loss = columns.evaluate(second.H, second.Y, second.theta)
+            np.testing.assert_array_equal(weighted, kept)
+            for m, value in ((first, first_loss), (second, second_loss)):
+                assert value == estimator._Columns(data).evaluate(m.H, m.Y, m.theta)[1]
+
+    def test_kept_gauss_newton_evaluation_survives_later_calls(self):
+        # Near the edge `fit` reuses the evaluation of a kept step; a later
+        # evaluation on the same stack must not overwrite it.
+        data = planted_instance(12, 2, 2, 4, 1e-2, 1.2, seed=64).dataset
+        columns = estimator._Columns(data)
+        edge = estimator._edge_step(columns, 2)
+        assert edge is not None
+        m = random_geodesic(12, 2, 1.0, seed=74)
+        _, block_loss = columns.evaluate(m.H, m.Y, m.theta)
+        better = edge.improve(m.H, m.Y, m.theta, block_loss, block_loss, columns.evaluate)
+        assert better is not None
+        H, Y, theta, (weighted, kept_loss) = better
+        kept = weighted.copy()
+        _, block_again = columns.evaluate(m.H, m.Y, m.theta)
+        np.testing.assert_array_equal(weighted, kept)
+        fresh_weighted, fresh_loss = estimator._Columns(data).evaluate(H, Y, theta)
+        np.testing.assert_array_equal(weighted, fresh_weighted)
+        assert kept_loss == fresh_loss < block_loss == block_again
 
 
 class TestBasisUpdate:
@@ -296,7 +359,10 @@ class TestCurvatureWeight:
             w = curvature_weight(ref, t, r, phi)
             quad = f(ref) + fp * (grid - ref) + 0.5 * w * (grid - ref) ** 2
             assert np.all(quad >= f(grid) - 1e-9)
-            assert abs(f(ref) - (f(ref) + 0.0)) <= 1e-12
+            # the majorizer also touches f at the mirror image of ref in the axis
+            mirror = 2 * phi / (2 * t) - ref
+            quad_at_mirror = f(ref) + fp * (mirror - ref) + 0.5 * w * (mirror - ref) ** 2
+            assert abs(quad_at_mirror - f(mirror)) <= 1e-12
 
 
 class TestAngleStep:
@@ -391,6 +457,44 @@ class TestAngleStep:
                 assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
+class TestAngleStepOracle:
+    """The one-sine angle step against `reference_slopes`, the np.mod form it replaced."""
+
+    def case(self, seed, T=40, k=6):
+        # |2 theta t - phi| up to 10 pi, negative times, a t = 0 row, an
+        # r = 0 row and one entry with 2 theta t - phi == 0 exactly.
+        rng = np.random.default_rng(seed)
+        times = rng.uniform(-1.5, 1.5, T)
+        times[0] = 0.0
+        times[1], times[3] = 1.25, -1.5
+        r = rng.uniform(0.0, 3.0, (T, k))
+        r[2] = 0.0
+        phi = rng.uniform(-np.pi, np.pi, (T, k))
+        theta = rng.uniform(-3 * np.pi, 3 * np.pi, k)
+        theta[-1] = -2.9 * np.pi
+        phi[1, 0] = 2.0 * times[1] * theta[0]
+        return r, phi, times, theta
+
+    def test_slopes_match_reference(self):
+        for seed in range(5):
+            r, phi, times, theta = self.case(80 + seed)
+            arg = 2.0 * theta[None, :] * times[:, None] - phi * np.sign(times)[:, None]
+            assert 7 * np.pi < np.max(np.abs(arg)) <= 10 * np.pi and arg[1, 0] == 0.0
+            deriv, weight = estimator._AngleStepper(r, phi, times).slopes(theta)
+            ref_deriv, ref_weight = reference_slopes(r, phi, times, theta)
+            np.testing.assert_allclose(deriv, ref_deriv, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(weight, ref_weight, rtol=1e-12, atol=0.0)
+            # t = 0 and r = 0 rows drop out exactly; a == 0 gives the limit
+            assert np.all(deriv[[0, 2]] == 0.0) and np.all(weight[[0, 2]] == 0.0)
+            assert deriv[1, 0] == 0.0 and weight[1, 0] == 4.0 * times[1] ** 2 * r[1, 0]
+
+    def test_five_steps_match_reference(self):
+        for seed in range(5):
+            r, phi, times, theta = self.case(90 + seed)
+            stepped = estimator._AngleStepper(r, phi, times).run(theta, 5)
+            np.testing.assert_allclose(stepped, reference_mm_steps(r, phi, times, theta, 5), rtol=1e-12)
+
+
 class TestFit:
     def test_truth_init_converges_immediately_on_noiseless_data(self):
         inst = planted_instance(20, 3, 1, 30, 0.0, 1.3, seed=26)
@@ -426,6 +530,49 @@ class TestFit:
             trail, iters = oracle_fit(data, start, cfg)
             assert report.outer_iters_run == iters
             np.testing.assert_allclose(report.loss_per_outer_iter, trail, rtol=1e-9)
+
+    def test_recomputed_loss_is_trail_end(self):
+        # The final model's loss computed afresh is the trail's last entry,
+        # and the trail never rises beyond criterion 1's slack: on uniform
+        # and ragged data, and inside the gate, where the evaluation of a kept
+        # step is reused.  Every recorded entry is checked the same way.
+        uniform = planted_instance(10, 2, 2, 10, 0.3, 1.2, seed=27).dataset
+        edge = planted_instance(12, 2, 2, 4, 1e-2, 1.2, seed=28).dataset
+        for data in (uniform, ragged_dataset(29, d=10, T=13, sigma=0.3), edge):
+            recomputed = []
+            cfg = EstimatorConfig(init=RandomInit(2, seed=6), outer_iters=40, rel_loss_tol=0.0)
+            report = fit(data, cfg, callback=lambda model, value: recomputed.append(loss(data, model)))
+            trail = report.loss_per_outer_iter
+            assert np.all(trail[1:] <= trail[:-1] * (1 + 1e-10))
+            assert loss(data, report.model) == pytest.approx(trail[-1], rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(recomputed, trail[1:], rtol=1e-12, atol=0.0)
+
+    def test_stop_reason_tolerance(self):
+        inst = planted_instance(10, 2, 1, 8, 1e-2, 1.2, seed=31)
+        cfg = EstimatorConfig(init=RandomInit(2, seed=4), outer_iters=500, rel_loss_tol=1e-3)
+        report = fit(inst.dataset, cfg)
+        assert report.stop_reason == "tolerance" and report.converged
+        assert report.outer_iters_run < 500
+        assert report.loss_per_outer_iter.size == report.outer_iters_run + 1
+
+    def test_stop_reason_budget(self):
+        inst = planted_instance(10, 2, 1, 8, 1e-2, 1.2, seed=31)
+        report = fit(inst.dataset, EstimatorConfig(init=RandomInit(2, seed=4), outer_iters=3, rel_loss_tol=0.0))
+        assert report.stop_reason == "budget" and not report.converged
+        assert report.outer_iters_run == 3
+
+    def test_stop_reason_non_descent(self):
+        # A basis update that turns away from the data raises the loss: the
+        # fit reverts it and stops.
+        inst = planted_instance(10, 2, 1, 8, 1e-2, 1.2, seed=31)
+        away = orthonormal_complement(np.concatenate([inst.truth.H, inst.truth.Y], axis=1), 4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator._Columns, "update_bases", lambda self, weighted: (away[:, :2], away[:, 2:], True))
+            report = fit(inst.dataset, EstimatorConfig(init=ProvidedInit(inst.truth), outer_iters=10))
+        assert report.stop_reason == "non_descent" and report.converged
+        assert report.outer_iters_run == 1
+        np.testing.assert_array_equal(report.loss_per_outer_iter, [loss(inst.dataset, inst.truth)])
+        np.testing.assert_array_equal(report.model.H, inst.truth.H)
 
     def test_inner_basis_iters_still_monotone(self):
         inst = planted_instance(16, 2, 1, 12, 1e-2, 1.4, seed=28)
