@@ -9,15 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import GeogressError, InvalidSpec, IoFailure
-from .estimator import EndpointsInit, EstimatorConfig, RandomInit, fit
-from .experiments import ExperimentSpec, format_csv, run_experiment
-from .landscape import loss_surface_2d, record_iterates, recenter_times
-from .piecewise import continuity_gap, fit_piecewise_schedule
+from .estimator import EstimatorConfig, fit
+from .experiments import (
+    LANDSCAPE_COLUMNS, PIECEWISE_COLUMNS, ExperimentSpec, estimator_config, format_csv, landscape_rows,
+    piecewise_rows, run_experiment,
+)
 from .serialization import load_dataset, save_dataset, save_model, write_text
 from .synth import planted_instance
 
@@ -31,36 +33,32 @@ def _float_list(text: str) -> list[float]:
 
 
 def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--outer-iters", type=int, default=200, help="outer iteration budget")
-    parser.add_argument("--inner-mm-iters", type=int, default=5, help="angle MM steps per outer iteration")
-    parser.add_argument("--inner-basis-iters", type=int, default=1, help="basis updates per outer iteration")
-    parser.add_argument("--rel-loss-tol", type=float, default=1e-10, help="relative stopping tolerance")
-    parser.add_argument("--time-center", type=float, default=None, help="recenter times about this point while fitting")
+    # Unset flags stay None and take the EstimatorConfig defaults.
+    parser.add_argument("--outer-iters", type=int, help="outer iteration budget")
+    parser.add_argument("--inner-mm-iters", type=int, help="angle MM steps per outer iteration")
+    parser.add_argument("--inner-basis-iters", type=int, help="basis updates per outer iteration")
+    parser.add_argument("--rel-loss-tol", type=float, help="relative stopping tolerance")
+    parser.add_argument("--time-center", type=float, help="recenter times about this point while fitting")
+
+
+def _add_init_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--init", choices=["random", "endpoints"], help="initialization (default random)")
+    parser.add_argument("--init-theta-max", type=float, help="largest angle of a random init")
+    parser.add_argument("--pool-fraction", type=float, help="share of samples in each endpoint pool")
+    parser.add_argument("--seed", type=int, default=0, help="random init seed")
 
 
 def _estimator_config(args, k: int) -> EstimatorConfig:
-    if args.init == "endpoints":
-        init = EndpointsInit(k, args.pool_fraction)
-    else:
-        init = RandomInit(k, theta_max=args.init_theta_max, seed=args.seed)
-    return EstimatorConfig(
-        init=init,
-        outer_iters=args.outer_iters,
-        inner_mm_iters=args.inner_mm_iters,
-        inner_basis_iters=args.inner_basis_iters,
-        rel_loss_tol=args.rel_loss_tol,
-        time_center=args.time_center,
-    )
+    return estimator_config(vars(args), k, args.seed)
 
 
 def _cmd_fit(args) -> int:
-    dataset = load_dataset(args.data)
-    config = _estimator_config(args, args.k)
-    report = fit(dataset, config)
+    report = fit(load_dataset(args.data), _estimator_config(args, args.k))
     if args.out:
         save_model(report.model, args.out)
     print(f"final_loss={float(report.loss_per_outer_iter[-1])!r}")
-    print(f"outer_iters={report.outer_iters_run} converged={report.converged}")
+    print(f"outer_iters={report.outer_iters_run} converged={report.converged} "
+          f"stop_reason={report.stop_reason}")
     return 0
 
 
@@ -95,11 +93,11 @@ def _cmd_experiment(args) -> int:
     ):
         if value is not None:
             payload[name] = value
-    if args.init is not None:
-        payload.setdefault("estimator", {})["init"] = args.init
     if "out" not in payload or payload["out"] is None:
         raise InvalidSpec("an output path is required (--out or config key 'out')")
     spec = ExperimentSpec.from_dict(payload)
+    if args.init is not None:
+        spec = replace(spec, estimator={**spec.estimator, "init": args.init})
     header, rows = run_experiment(spec)
     print(f"wrote {spec.out} ({len(rows)} rows, {len(header)} columns)")
     return 0
@@ -107,42 +105,20 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_landscape(args) -> int:
     dataset = load_dataset(args.data)
-    if args.time_center:
-        dataset = recenter_times(dataset, args.time_center)
-    omega_grid = np.linspace(-np.pi / 2, np.pi / 2, args.omega_steps)
-    theta_grid = np.linspace(-np.pi, np.pi, args.theta_steps)
-    surface = loss_surface_2d(dataset, omega_grid, theta_grid)
-    rows = [
-        [omega_grid[i], theta_grid[j], surface[i, j]]
-        for i in range(omega_grid.size)
-        for j in range(theta_grid.size)
-    ]
-    write_text(args.out, format_csv(["omega", "theta", "loss"], rows))
+    config = _estimator_config(args, 1) if args.iterates_out else None
+    surface, iterates = landscape_rows(dataset, args.omega_steps, args.theta_steps, args.time_center, config)
+    write_text(args.out, format_csv(LANDSCAPE_COLUMNS[1:], (row[1:] for row in surface)))
     if args.iterates_out:
-        local = argparse.Namespace(**vars(args), init="random", pool_fraction=0.25)
-        local.time_center = None  # dataset is already recentered above
-        config = _estimator_config(local, 1)
-        pairs, report = record_iterates(dataset, config)
-        it_rows = [
-            [step, omega, theta, report.loss_per_outer_iter[step]]
-            for step, (omega, theta) in enumerate(pairs, start=1)
-        ]
-        write_text(args.iterates_out, format_csv(["step", "omega", "theta", "loss"], it_rows))
-    print(f"wrote {args.out} ({omega_grid.size * theta_grid.size} grid points)")
+        write_text(args.iterates_out, format_csv(LANDSCAPE_COLUMNS, iterates))
+    print(f"wrote {args.out} ({len(surface)} grid points)")
     return 0
 
 
 def _cmd_piecewise(args) -> int:
     dataset = load_dataset(args.data)
     knots = np.asarray(_float_list(args.knots))
-    config = _estimator_config(args, args.k)
-    reports = fit_piecewise_schedule(dataset, knots, args.lambdas, config)
-    rows = []
-    for stage, (lam, report) in enumerate(zip(args.lambdas, reports)):
-        gaps = continuity_gap(report.model)
-        max_gap = float(np.max(gaps)) if gaps.size else 0.0
-        rows.append([stage, lam, report.objective_per_sweep[-1], max_gap, report.sweeps_run])
-    write_text(args.out, format_csv(["stage", "lambda", "penalized_loss", "max_gap", "sweeps"], rows))
+    rows, reports = piecewise_rows(dataset, knots, args.lambdas, _estimator_config(args, args.k))
+    write_text(args.out, format_csv(PIECEWISE_COLUMNS, rows))
     if args.models_out:
         for j, seg in enumerate(reports[-1].model.segments):
             save_model(seg, f"{args.models_out}.seg{j}")
@@ -157,10 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a geodesic to a dataset file")
     p_fit.add_argument("--data", required=True, help="dataset file")
     p_fit.add_argument("--k", type=int, required=True, help="model rank")
-    p_fit.add_argument("--init", choices=["random", "endpoints"], default="random")
-    p_fit.add_argument("--init-theta-max", type=float, default=np.pi / 4)
-    p_fit.add_argument("--pool-fraction", type=float, default=0.25)
-    p_fit.add_argument("--seed", type=int, default=0)
+    _add_init_flags(p_fit)
     p_fit.add_argument("--out", default=None, help="write the fitted model here")
     _add_estimator_flags(p_fit)
     p_fit.set_defaults(func=_cmd_fit)
@@ -200,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_land.add_argument("--omega-steps", type=int, default=101)
     p_land.add_argument("--theta-steps", type=int, default=101)
     p_land.add_argument("--seed", type=int, default=0)
-    p_land.add_argument("--init-theta-max", type=float, default=np.pi / 4)
+    p_land.add_argument("--init-theta-max", type=float, help="largest angle of the random init")
     p_land.add_argument("--out", required=True)
     p_land.add_argument("--iterates-out", default=None, help="also record fit iterates here")
     _add_estimator_flags(p_land)
@@ -211,10 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pw.add_argument("--knots", required=True, help="comma-separated knot times, e.g. 0,0.5,1")
     p_pw.add_argument("--k", type=int, required=True)
     p_pw.add_argument("--lambdas", type=_float_list, default=[0.0, 1.0, 10.0, 100.0, 1000.0])
-    p_pw.add_argument("--init", choices=["random", "endpoints"], default="random")
-    p_pw.add_argument("--init-theta-max", type=float, default=np.pi / 4)
-    p_pw.add_argument("--pool-fraction", type=float, default=0.25)
-    p_pw.add_argument("--seed", type=int, default=0)
+    _add_init_flags(p_pw)
     p_pw.add_argument("--out", required=True)
     p_pw.add_argument("--models-out", default=None, help="prefix for saving final segment models")
     _add_estimator_flags(p_pw)

@@ -68,24 +68,26 @@ def orthonormal_complement(basis: np.ndarray, count: int) -> np.ndarray:
     if count > d - p:
         raise DimensionMismatch(f"complement of dimension {count} does not fit in {d - p} directions")
     full, _, _ = np.linalg.svd(b, full_matrices=True)
-    comp = full[:, p : p + count]
-    # Fix an overall sign per column (largest-magnitude entry positive) for
-    # reproducibility; the span is unaffected.
-    idx = np.argmax(np.abs(comp), axis=0)
-    signs = np.sign(comp[idx, np.arange(comp.shape[1])])
-    signs[signs == 0] = 1.0
-    return comp * signs
+    return _largest_entry_positive(full[:, p : p + count])
 
 
 def principal_basis(matrix: np.ndarray, rank: int) -> np.ndarray:
     """Top-`rank` left singular vectors with a deterministic sign convention."""
     a = np.asarray(matrix, dtype=float)
     u, _, _ = np.linalg.svd(a, full_matrices=False)
-    u = u[:, :rank]
-    idx = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[idx, np.arange(u.shape[1])])
+    return _largest_entry_positive(u[:, :rank])
+
+
+def _largest_entry_positive(columns: np.ndarray) -> np.ndarray:
+    """Flip each column so its largest-magnitude entry is positive.
+
+    Fixes the sign of singular vectors for reproducibility; the span is
+    unaffected.
+    """
+    idx = np.argmax(np.abs(columns), axis=0)
+    signs = np.sign(columns[idx, np.arange(columns.shape[1])])
     signs[signs == 0] = 1.0
-    return u * signs
+    return columns * signs
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

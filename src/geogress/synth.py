@@ -34,6 +34,23 @@ def sample_times(T: int) -> np.ndarray:
     return np.arange(T) / (T - 1)
 
 
+def _sample(rng: np.random.Generator, bases, ell: int, sigma: float):
+    """Noisy and clean matrices U_i G_i (+ sigma N_i), one per d x k basis U_i.
+
+    `bases` is iterated once, in time order.  Per time the loadings G_i are
+    drawn before the noise N_i, so the stream of a seed is fixed.
+    """
+    noisy, clean = [], []
+    for u in bases:
+        d, k = u.shape
+        g = rng.standard_normal((k, ell))
+        n = rng.standard_normal((d, ell))
+        x = u @ g
+        clean.append(x)
+        noisy.append(x + sigma * n)
+    return tuple(noisy), tuple(clean)
+
+
 def planted_instance(
     d: int, k: int, ell: int, T: int, sigma: float, theta_max: float, seed: int
 ) -> PlantedInstance:
@@ -51,19 +68,11 @@ def planted_instance(
     rng = np.random.default_rng(seed)
     truth = random_geodesic(d, k, theta_max, rng)
     times = sample_times(T)
-    clean = []
-    noisy = []
-    for t in times:
-        u = truth.evaluate(t)
-        g = rng.standard_normal((k, ell))
-        n = rng.standard_normal((d, ell))
-        x = u @ g
-        clean.append(x)
-        noisy.append(x + sigma * n)
+    noisy, clean = _sample(rng, (truth.evaluate(t) for t in times), ell, sigma)
     return PlantedInstance(
-        dataset=Dataset(times, tuple(noisy)),
+        dataset=Dataset(times, noisy),
         truth=truth,
-        clean=tuple(clean),
+        clean=clean,
         sigma=float(sigma),
         seed=int(seed),
     )
@@ -100,17 +109,9 @@ def planted_piecewise_instance(
     far = random_geodesic(d, k, theta_max, rng)
     second = connect(first.evaluate(1.0), far.evaluate(1.0))
     times = sample_times(T)
-    clean = []
-    noisy = []
-    for t in times:
-        if t <= knot:
-            u = first.evaluate(t / knot)
-        else:
-            u = second.evaluate((t - knot) / (1.0 - knot))
-        g = rng.standard_normal((k, ell))
-        n = rng.standard_normal((d, ell))
-        x = u @ g
-        clean.append(x)
-        noisy.append(x + sigma * n)
+    bases = (
+        first.evaluate(t / knot) if t <= knot else second.evaluate((t - knot) / (1.0 - knot)) for t in times
+    )
+    noisy, clean = _sample(rng, bases, ell, sigma)
     knots = np.array([0.0, knot, 1.0])
-    return Dataset(times, tuple(noisy)), (first, second), knots, tuple(clean)
+    return Dataset(times, noisy), (first, second), knots, clean

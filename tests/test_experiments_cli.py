@@ -1,13 +1,21 @@
 """Experiment runner determinism and the command-line surface."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from geogress import ExperimentSpec, InvalidSpec, load_dataset, load_model, run_experiment
-from geogress.cli import main
-from geogress.experiments import LANDSCAPE_HEADER, PIECEWISE_HEADER, STANDARD_HEADER, format_csv
+from geogress import (
+    EndpointsInit, EstimatorConfig, ExperimentSpec, InvalidSpec, RandomInit, load_dataset, load_model, planted_instance,
+    run_experiment, save_dataset,
+)
+from geogress.cli import build_parser, main
+from geogress.experiments import (
+    _INIT_SALT, LANDSCAPE_HEADER, PIECEWISE_HEADER, STANDARD_HEADER, _trial_config, estimator_config,
+    format_csv,
+)
+from geogress.synth import planted_piecewise_instance
 
 
 def tiny_spec(**overrides):
@@ -51,6 +59,45 @@ class TestExperimentSpec:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(InvalidSpec):
             ExperimentSpec.from_dict({"experiment": "Convergence", "bogus": 1})
+
+
+class TestEstimatorConfig:
+    def test_absent_or_none_options_take_dataclass_defaults(self):
+        expected = EstimatorConfig(init=RandomInit(3, seed=7))
+        assert estimator_config({}, 3, 7) == expected
+        none = {key: None for key in ("init", "init_theta_max", "pool_fraction", "outer_iters",
+                                      "inner_mm_iters", "inner_basis_iters", "rel_loss_tol", "time_center")}
+        assert estimator_config(none, 3, 7) == expected
+
+    def test_options_reach_their_fields(self):
+        config = estimator_config(
+            {"init": "endpoints", "pool_fraction": 0.5, "outer_iters": 9, "inner_mm_iters": 2,
+             "inner_basis_iters": 3, "rel_loss_tol": 0.0, "time_center": 0.5, "unrelated": 1}, 2, 0)
+        assert (config.init.k, config.init.pool_fraction) == (2, 0.5)
+        assert (config.outer_iters, config.inner_mm_iters, config.inner_basis_iters) == (9, 2, 3)
+        assert (config.rel_loss_tol, config.time_center) == (0.0, 0.5)
+        assert estimator_config({"init_theta_max": 0.3}, 1, 4).init == RandomInit(1, theta_max=0.3, seed=4)
+
+    def test_trial_config_widens_pools_then_falls_back_to_random(self):
+        spec = ExperimentSpec(experiment="Convergence", estimator={"init": "endpoints", "outer_iters": 7})
+        # cells (d, k, ell, T, sigma, theta_max); pools of ceil(f * T) samples of ell columns must hold k
+        assert _trial_config(spec, (10, 2, 1, 8, 0.0, 1.0), 3).init == EndpointsInit(2)
+        assert _trial_config(spec, (10, 2, 1, 4, 0.0, 1.0), 3).init == EndpointsInit(2, 0.5)
+        fallback = _trial_config(spec, (10, 2, 1, 2, 0.0, 1.0), 3)
+        assert fallback == EstimatorConfig(init=RandomInit(2, seed=3 ^ _INIT_SALT), outer_iters=7)
+
+    def test_unknown_init_rejected(self):
+        with pytest.raises(InvalidSpec):
+            estimator_config({"init": "truth"}, 2, 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--data", "x", "--k", "2"],
+        ["piecewise", "--data", "x", "--k", "2", "--knots", "0,1", "--out", "y"],
+        ["landscape", "--data", "x", "--out", "y"],
+    ], ids=["fit", "piecewise", "landscape"])
+    def test_cli_flag_defaults_are_the_dataclass_defaults(self, argv):
+        args = build_parser().parse_args(argv)
+        assert estimator_config(vars(args), 2, args.seed) == EstimatorConfig(init=RandomInit(2, seed=0))
 
 
 class TestRunExperiment:
@@ -219,7 +266,8 @@ class TestCli:
         ]) == 0
         fitted = load_model(model)
         assert fitted.d == 12 and fitted.k == 2
-        assert "final_loss=" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "final_loss=" in out and "stop_reason=" in out
 
     def test_experiment_with_json_config(self, tmp_path):
         out = tmp_path / "result.csv"
@@ -269,6 +317,110 @@ class TestCli:
         assert lines[0] == "stage,lambda,penalized_loss,max_gap,sweeps"
         assert len(lines) == 3
         assert load_model(tmp_path / "final.seg0").k == 2
+
+    @pytest.mark.parametrize("override", [
+        {"estimator": {"outer_iter": 3}},
+        {"estimator": [1]},
+        {"trials": "2"},
+        {"base_seed": 1.5},
+        {"d": [10.0]},
+        {"k": ["2"]},
+        {"ell": [True]},
+        {"T": [10, 12.5]},
+        {"omega_steps": 5.0},
+        {"theta_steps": None},
+    ], ids=["unknown-estimator-key", "estimator-not-object", "trials-string", "base-seed-float", "d-float",
+            "k-string", "ell-bool", "T-float", "omega-steps-float", "theta-steps-none"])
+    def test_bad_experiment_config_exit_code(self, tmp_path, override):
+        cfg = tmp_path / "exp.json"
+        payload = {"experiment": "Convergence", "d": [10], "k": [2], "T": [10], "trials": 1,
+                   "estimator": {"outer_iters": 5}, "out": str(tmp_path / "result.csv")}
+        cfg.write_text(json.dumps({**payload, **override}))
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert main(["experiment", "--config", str(cfg), "--init", "endpoints"]) == 1
+        assert not (tmp_path / "result.csv").exists()
+
+    def test_landscape_command_matches_experiment_rows(self, tmp_path):
+        # one trial of cell 0 has instance seed base_seed and a random init seeded base_seed ^ _INIT_SALT
+        spec = ExperimentSpec(
+            experiment="Landscape2D", d=(2,), k=(1,), ell=(2,), T=(7,), sigma=(0.05,), theta_max=(1.0,),
+            trials=1, base_seed=5, omega_steps=4, theta_steps=6,
+            estimator={"outer_iters": 30, "time_center": 0.5, "init_theta_max": 0.5},
+        )
+        header, rows = run_experiment(spec)
+        data = tmp_path / "plane.txt"
+        save_dataset(planted_instance(2, 1, 2, 7, 0.05, 1.0, 5).dataset, data)
+        surface, iterates = tmp_path / "surface.csv", tmp_path / "iterates.csv"
+        assert main([
+            "landscape", "--data", str(data), "--omega-steps", "4", "--theta-steps", "6",
+            "--outer-iters", "30", "--time-center", "0.5", "--init-theta-max", "0.5",
+            "--seed", str(5 ^ _INIT_SALT), "--out", str(surface), "--iterates-out", str(iterates),
+        ]) == 0
+        kind = header.index("kind")
+        expected_surface = [r[kind + 2:] for r in rows if r[kind] == "surface"]
+        expected_iterates = [r[kind + 1:] for r in rows if r[kind] == "iterate"]
+        assert len(expected_surface) == 24 and len(expected_iterates) >= 1
+        assert surface.read_text() == format_csv(["omega", "theta", "loss"], expected_surface)
+        assert iterates.read_text() == format_csv(["step", "omega", "theta", "loss"], expected_iterates)
+
+    def test_piecewise_command_matches_experiment_rows(self, tmp_path):
+        spec = ExperimentSpec(
+            experiment="PiecewiseDemo", d=(10,), k=(2,), ell=(2,), T=(12,), sigma=(1e-2,), theta_max=(1.2,),
+            trials=1, base_seed=11, lambdas=(0.0, 1.0, 10.0), estimator={"init": "endpoints", "outer_iters": 30},
+        )
+        header, rows = run_experiment(spec)
+        data = tmp_path / "data.txt"
+        save_dataset(planted_piecewise_instance(10, 2, 2, 12, 1e-2, 1.2, 11)[0], data)
+        out = tmp_path / "stages.csv"
+        assert main([
+            "piecewise", "--data", str(data), "--knots", "0,0.5,1", "--k", "2", "--lambdas", "0,1,10",
+            "--init", "endpoints", "--outer-iters", "30", "--out", str(out),
+        ]) == 0
+        stage = header.index("stage")
+        assert out.read_text() == format_csv(header[stage:], [r[stage:] for r in rows])
+
+    def test_piecewise_single_segment_has_zero_gap(self, tmp_path):
+        data = tmp_path / "data.txt"
+        out = tmp_path / "stages.csv"
+        save_dataset(planted_instance(10, 2, 1, 12, 0.01, 1.2, 4).dataset, data)
+        assert main([
+            "piecewise", "--data", str(data), "--knots", "0,1", "--k", "2",
+            "--lambdas", "0,10", "--outer-iters", "20", "--out", str(out),
+        ]) == 0
+        lines = out.read_text().splitlines()
+        gap = lines[0].split(",").index("max_gap")
+        assert [line.split(",")[gap] for line in lines[1:]] == ["0.0", "0.0"]
+
+    def test_fit_reports_stop_reason(self, tmp_path, capsys):
+        data = tmp_path / "data.txt"
+        save_dataset(planted_instance(10, 2, 1, 12, 0.01, 1.2, 4).dataset, data)
+        assert main(["fit", "--data", str(data), "--k", "2", "--outer-iters", "3", "--rel-loss-tol", "0"]) == 0
+        assert "outer_iters=3 converged=False stop_reason=budget" in capsys.readouterr().out
+
+    def test_option_strings_are_pinned(self):
+        # A new knob must show up here, in review.
+        common = {"-h", "--help"}
+        estimator = {"--outer-iters", "--inner-mm-iters", "--inner-basis-iters", "--rel-loss-tol", "--time-center"}
+        init = {"--init", "--init-theta-max", "--pool-fraction", "--seed"}
+        expected = {
+            "fit": common | estimator | init | {"--data", "--k", "--out"},
+            "synth": common | {"--d", "--k", "--ell", "--T", "--sigma", "--theta-max", "--seed", "--out",
+                               "--truth-out", "--clean-out"},
+            "experiment": common | {"--config", "--experiment", "--d", "--k", "--ell", "--T", "--sigma",
+                                    "--theta-max", "--trials", "--seed", "--true-k", "--lambdas", "--init",
+                                    "--out"},
+            "landscape": common | estimator | {"--data", "--omega-steps", "--theta-steps", "--seed",
+                                               "--init-theta-max", "--out", "--iterates-out"},
+            "piecewise": common | estimator | init | {"--data", "--knots", "--k", "--lambdas", "--out",
+                                                      "--models-out"},
+        }
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        found = {
+            name: {opt for action in sub._actions for opt in action.option_strings}
+            for name, sub in commands.choices.items()
+        }
+        assert found == expected
 
     def test_validation_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
