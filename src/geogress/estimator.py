@@ -28,14 +28,15 @@ positive ones through the identity f(x; t, phi) = f(x; -t, -phi).
 
 3. Near the parameter-counting edge N = 2k (N data columns in all), the two
    blocks are strongly coupled and block descent crawls along an
-   ill-conditioned valley.  For data with N <= 8k columns (and a dense
-   system of at most 1024 unknowns) each outer iteration whose block
-   updates removed less than half of the loss therefore also tries one
-   Levenberg-Marquardt step on the stacked residual, in a tangent
-   chart of [H Y] with the angles, retracted by the polar factor (Edelman,
-   Arias & Smith 1998; Absil, Mahony & Sepulchre 2008).  The step is kept
-   only when its loss is not above the block iterate's, so the loss still
-   never increases; everywhere else the iterates are those of steps 1-2.
+   ill-conditioned valley.  For data with N <= 8k columns (and k <= 22)
+   each outer iteration whose block updates removed less than half of the
+   loss therefore also tries one Levenberg-Marquardt step on the stacked
+   residual, in a chart of the rotations within span [H Y] and the angles:
+   2k^2 unknowns, retracted by a 2k x 2k polar factor (Edelman, Arias &
+   Smith 1998; Absil, Mahony & Sepulchre 2008).  Moving the span itself is
+   left to step 1, which runs just before.  The step is kept only when its
+   loss is not above the block iterate's, so the loss still never
+   increases; everywhere else the iterates are those of steps 1-2.
    Block descent also crawls past 8k columns at low noise; the bound is
    where the fits the acceptance criteria were set on begin (see
    `_EDGE_COLUMNS_PER_RANK`), not where the step stops helping.
@@ -441,10 +442,11 @@ def _initial_model(dataset: Dataset, init: InitStrategy) -> GeodesicModel:
 # landscape tests (N = 9k) on the block updates alone, so their iterates
 # stay those the criteria were set on.
 _EDGE_COLUMNS_PER_RANK = 8
-# A memory and time guard for large k and d: the step forms and solves a
-# dense system of at most this many unknowns (an 8 MB matrix, about 65 ms
-# per attempt on one core).  No fit in the tests or the benchmark comes
-# near it; the largest, at (d, k) = (40, 8), has 512.
+# A memory and time guard for a large k: the step forms and solves a dense
+# system of 2k^2 unknowns, at most this many, so k <= 22.  At k = 22 and
+# N = 8k columns its Jacobian blocks are 30 MB each, and one attempt takes
+# about 0.4 s on one core.  No fit in the tests or the benchmark comes near
+# it; the largest, at k = 8, has 128.
 _MAX_STEP_UNKNOWNS = 1024
 # Levenberg-Marquardt damping, relative to the largest Gauss-Newton curvature.
 _DAMPING_START = 1e-4
@@ -457,59 +459,53 @@ _MAX_BACKOFF = 64
 # iteration is not stalling, and the step's dense solve is not tried after
 # it.  These are mostly the first iterations from a far start; at
 # (d, k, N) = (40, 8, 32) skipping them halves the time the step adds to a
-# 5-iteration fit (about 44 -> 22 ms on one core).
+# 5-iteration fit (about 10 -> 5 ms on one core).
 _STALL_SHARE = 0.5
 
 
-def _near_edge(d: int, k: int, n_columns: int) -> bool:
+def _near_edge(k: int, n_columns: int) -> bool:
     """Whether `fit` tries the Gauss-Newton step: N <= 8k columns, small system.
 
-    The system has 2k^2 unknowns for (A, dtheta) and 2k per direction of
-    the data outside span [H Y], of which there are at most min(N, d - 2k).
+    The system has 2k^2 unknowns, k(2k - 1) for the skew A and k for dtheta,
+    whatever N and d are.
     """
-    unknowns = 2 * k * k + 2 * k * min(n_columns, d - 2 * k)
-    return n_columns <= _EDGE_COLUMNS_PER_RANK * k and unknowns <= _MAX_STEP_UNKNOWNS
+    return n_columns <= _EDGE_COLUMNS_PER_RANK * k and 2 * k * k <= _MAX_STEP_UNKNOWNS
 
 
 class _EdgeChart:
     """The stacked residual X_i - U(t_i) U(t_i)^T X_i, linearised at (H, Y, theta).
 
-    The chart moves Q = [H Y] along the tangent Q A + W E, where A is a skew
-    2k x 2k matrix and W an orthonormal basis of the data's component outside
-    span Q (no other direction of the complement enters the gradient), and
-    the angles along dtheta.  Per column the residual has k rows along U(t),
-    k rows along the rest of span Q and m rows along W.  A step packs
-    (upper triangle of A, dtheta, E) into one vector; only the U(t) rows
-    couple E to the rest, which keeps the Gauss-Newton matrix cheap to form.
+    The chart rotates Q = [H Y] within its span, to Q polar(I + A) with A a
+    skew 2k x 2k matrix, and moves the angles along dtheta.  The data's
+    component outside span Q, and its share of the loss, stay fixed: moving
+    the span is left to the Procrustes update that runs before every step.
+    Per column the residual has k rows along U(t), zero at the chart's
+    origin, and k rows along the rest of span Q.  A step packs
+    (upper triangle of A, dtheta) into one vector of 2k^2 unknowns.
     """
 
     def __init__(self, x: np.ndarray, tau: np.ndarray, H, Y, theta):
-        d, k = H.shape
+        k = H.shape[1]
         n = x.shape[1]
         self.k = k
         self.theta = theta
         self.Q = np.concatenate([H, Y], axis=1)
         q = self.Q.T @ x
-        outside = x - self.Q @ q
         angles = theta[:, None] * tau[None, :]
         self.cos, self.sin = cos_all, sin_all = np.cos(angles), np.sin(angles)
         c = cos_all * q[:k] + sin_all * q[k:]
         self.e = e = cos_all * q[k:] - sin_all * q[:k]
-        w_basis, sv, _ = np.linalg.svd(outside, full_matrices=False)
-        floor = max(d, n) * np.finfo(float).eps * np.linalg.norm(x)
-        self.W = w_basis[:, : min(int(np.sum(sv > floor)), d - 2 * k)]
-        self.w = self.W.T @ outside
         # v = U(t) c and r = the rest of span Q times e, in Q coordinates;
         # cs[j, l] and cd[j, l] are the l-th such columns at column j's time.
-        self.v = np.concatenate([cos_all * c, sin_all * c])
+        v = np.concatenate([cos_all * c, sin_all * c])
         r = np.concatenate([-sin_all * e, cos_all * e])
         eye = np.eye(k)
-        self.cs = cs = np.concatenate([cos_all.T[:, :, None] * eye, sin_all.T[:, :, None] * eye], axis=2)
+        cs = np.concatenate([cos_all.T[:, :, None] * eye, sin_all.T[:, :, None] * eye], axis=2)
         cd = np.concatenate([-sin_all.T[:, :, None] * eye, cos_all.T[:, :, None] * eye], axis=2)
         # The skew generator e_a e_b^T - e_b e_a^T (a < b) moves the rows by
         # -cd^T A v (rest of span Q) and cs^T A r (along U(t)).
         self.ia, self.ib = ia, ib = np.triu_indices(2 * k, 1)
-        v_t, r_t = self.v.T[:, None, :], r.T[:, None, :]
+        v_t, r_t = v.T[:, None, :], r.T[:, None, :]
         along_theta = np.zeros((n, k, k))
         idx = np.arange(k)
         along_theta[:, idx, idx] = -tau[:, None] * c.T
@@ -523,58 +519,33 @@ class _EdgeChart:
 
     def directional(self, step: np.ndarray) -> np.ndarray:
         """Jacobian times `step`, as a d x N matrix of residual changes."""
-        k = self.k
-        n_s = self.jac_n.shape[2]
-        s, E = step[:n_s], step[n_s:].reshape(self.W.shape[1], 2 * k)
-        along_rest = (self.jac_n @ s).T
-        pulled = E.T @ self.w
-        along_u = (self.jac_u @ s).T - self.cos * pulled[:k] - self.sin * pulled[k:]
+        along_rest, along_u = (self.jac_n @ step).T, (self.jac_u @ step).T
         in_q = np.concatenate(
             [self.cos * along_u - self.sin * along_rest, self.sin * along_u + self.cos * along_rest]
         )
-        return self.Q @ in_q - self.W @ (E @ self.v)
+        return self.Q @ in_q
 
     def normal_equations(self):
-        """Gauss-Newton matrix J^T J and gradient J^T r of the stacked residual."""
-        k, m = self.k, self.W.shape[1]
-        n, _, n_s = self.jac_n.shape
+        """Gauss-Newton matrix J^T J and gradient J^T r of the stacked residual.
+
+        Of the residual r only the rows along the rest of span Q, e, are
+        nonzero where J is: the rows along U(t) vanish at the chart's origin.
+        """
+        n, k, n_s = self.jac_n.shape
         jn = self.jac_n.reshape(n * k, n_s)
         ju = self.jac_u.reshape(n * k, n_s)
-        size = n_s + 2 * k * m
-        gram = np.empty((size, size))
-        gram[:n_s, :n_s] = jn.T @ jn + ju.T @ ju
-        # Columns of E touch the U(t) rows through -cs[l, a] w_mu ...
-        coupling = self.cs.transpose(0, 2, 1) @ self.jac_u
-        gram_se = -(self.w @ coupling.reshape(n, -1)).reshape(m, 2 * k, n_s)
-        gram[:n_s, n_s:] = gram_se.transpose(2, 0, 1).reshape(n_s, -1)
-        gram[n_s:, :n_s] = gram[:n_s, n_s:].T
-        # ... and the W rows through -E v; U(t) rows pair a with a +- k only.
-        gram_ee = gram[n_s:, n_s:].reshape(m, 2 * k, m, 2 * k)
-        gram_ee[...] = 0.0
-        idx = np.arange(k)
-        for rows, cols, weight in (
-            (idx, idx, self.cos * self.cos),
-            (idx, idx + k, self.cos * self.sin),
-            (idx + k, idx, self.cos * self.sin),
-            (idx + k, idx + k, self.sin * self.sin),
-        ):
-            gram_ee[:, rows, :, cols] = (self.w[None, :, :] * weight[:, None, :]) @ self.w.T
-        midx = np.arange(m)
-        gram_ee[midx, :, midx, :] += self.v @ self.v.T
-        grad = np.concatenate([jn.T @ self.e.T.reshape(-1), -(self.w @ self.v.T).reshape(-1)])
-        return gram, grad
+        return jn.T @ jn + ju.T @ ju, jn.T @ self.e.T.reshape(-1)
 
     def retract(self, step: np.ndarray):
-        """(H, Y, theta) after `step`, with Q retracted by its polar factor."""
+        """(H, Y, theta) after `step`: Q times the polar factor of I + A."""
         k = self.k
         n_a = self.ia.size
         A = np.zeros((2 * k, 2 * k))
         A[self.ia, self.ib] = step[:n_a]
         A -= A.T
-        E = step[n_a + k :].reshape(self.W.shape[1], 2 * k)
-        u, _, vt = np.linalg.svd(self.Q + self.Q @ A + self.W @ E, full_matrices=False)
-        q = u @ vt
-        return q[:, :k], q[:, k:], self.theta + step[n_a : n_a + k]
+        u, _, vt = np.linalg.svd(np.eye(2 * k) + A)
+        q = self.Q @ (u @ vt)
+        return q[:, :k], q[:, k:], self.theta + step[n_a:]
 
 
 class _EdgeStep:
@@ -639,8 +610,7 @@ class _EdgeStep:
 
 def _edge_step(columns: _Columns, k: int) -> _EdgeStep | None:
     """The Gauss-Newton stepper for data near the edge, None elsewhere."""
-    d, n_columns = columns.x.shape
-    if not _near_edge(d, k, n_columns):
+    if not _near_edge(k, columns.x.shape[1]):
         return None
     return _EdgeStep(columns.x, columns.tau)
 
@@ -664,13 +634,13 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
     target that lost rank during the fit is reported once, at the end,
     through RankCollapseWarning.
 
-    For data near the edge N = 2k (at most 8k columns in all, and a dense
-    system of at most 1024 unknowns) each outer iteration whose block
-    updates removed less than half of the loss then tries a damped
-    Gauss-Newton step from the block iterate and keeps it only if its loss
-    is not above the block iterate's.  A rejected step leaves the
-    block iterate in place and the fit goes on; repeated rejections space
-    out further attempts.  Other fits never take the step, so their
+    For data near the edge N = 2k (at most 8k columns in all, and k <= 22)
+    each outer iteration whose block updates removed less than half of the
+    loss then tries a damped Gauss-Newton step from the block iterate, in
+    the rotations within span [H Y] and the angles, and keeps it only if
+    its loss is not above the block iterate's.  A rejected step, or a solve
+    that fails, leaves the block iterate in place and the fit goes on;
+    repeated rejections space out further attempts.  Other fits never take the step, so their
     iterates are those of the two block updates alone.
 
     When `time_center` is set, fitting happens on the shifted axis

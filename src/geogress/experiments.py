@@ -66,6 +66,10 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment run: parameter grids, trial count, seeding, output path.
@@ -101,11 +105,25 @@ class ExperimentSpec:
         for name in ("d", "k", "ell", "T"):
             if not all(_is_int(v) for v in getattr(self, name)):
                 raise InvalidSpec(f"grid {name} must hold integers, got {getattr(self, name)!r}")
+        for name in ("sigma", "theta_max", "lambdas"):
+            if not all(_is_real(v) for v in getattr(self, name)):
+                raise InvalidSpec(f"grid {name} must hold real numbers, got {getattr(self, name)!r}")
         for name in ("trials", "base_seed", "omega_steps", "theta_steps"):
             if not _is_int(getattr(self, name)):
                 raise InvalidSpec(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.true_k is not None and not _is_int(self.true_k):
+            raise InvalidSpec(f"true_k must be an integer or null, got {self.true_k!r}")
         if not isinstance(self.estimator, dict) or not set(self.estimator) <= set(_ESTIMATOR_OPTIONS):
             raise InvalidSpec(f"estimator must be an object with keys from {_ESTIMATOR_OPTIONS}")
+        for name, value in self.estimator.items():
+            if name == "init":
+                kind, ok = "a string", isinstance(value, str)
+            elif name.endswith("_iters"):
+                kind, ok = "an integer", _is_int(value)
+            else:
+                kind, ok = "a real number", _is_real(value)
+            if value is not None and not ok:
+                raise InvalidSpec(f"estimator option {name} must be {kind} or null, got {value!r}")
         if self.trials < 1:
             raise InvalidSpec("trials must be >= 1")
         if self.experiment == "Landscape2D" and (self.d != (2,) or self.k != (1,)):

@@ -1,5 +1,11 @@
 """Tests for the loss, the two block updates, and the outer fit loop."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,7 +136,7 @@ def oracle_fit(dataset, model, config):
 
     k = model.k
     edge = None
-    if estimator._near_edge(dataset.d, k, dataset.total_columns):
+    if estimator._near_edge(k, dataset.total_columns):
         widths = [x.shape[1] for x in dataset.matrices]
         edge = estimator._EdgeStep(dataset.column_stack(), np.repeat(dataset.times, widths))
     H, Y, theta = model.H, model.Y, model.theta
@@ -512,7 +518,7 @@ class TestFit:
             trail = report.loss_per_outer_iter
             assert np.all(trail[1:] <= trail[:-1] * (1 + 1e-10))
 
-    def test_ragged_and_packed_paths_agree(self):
+    def test_matches_per_sample_oracle_on_uniform_and_ragged_data(self):
         # `fit` against the per-sample oracle loop, on uniform and ragged
         # data, outside and inside the Gauss-Newton gate.  The fits stop at
         # the default tolerance: past it the two losses differ only by
@@ -523,7 +529,7 @@ class TestFit:
         ragged_in = ragged_dataset(30, d=12, T=7, sigma=1e-2)
         cases = ((uniform_out, False), (uniform_in, True), (ragged_out, False), (ragged_in, True))
         for data, near in cases:
-            assert estimator._near_edge(data.d, 2, data.total_columns) == near
+            assert estimator._near_edge(2, data.total_columns) == near
             cfg = EstimatorConfig(init=RandomInit(2, seed=1), outer_iters=30)
             report = fit(data, cfg)
             start = random_geodesic(data.d, 2, np.pi / 4, seed=1)
@@ -627,8 +633,8 @@ class TestGaussNewtonStep:
         rng = np.random.default_rng(63)
         A = rng.standard_normal((4, 4))
         A -= A.T
-        E = rng.standard_normal((chart.W.shape[1], 4))  # B = W E
-        step = np.concatenate([A[np.triu_indices(4, 1)], rng.standard_normal(2), E.ravel()])
+        step = np.concatenate([A[np.triu_indices(4, 1)], rng.standard_normal(2)])
+        assert chart.jac_n.shape[2] == step.size == 2 * 2**2
 
         def residual(s):
             model = GeodesicModel(*chart.retract(s * step))
@@ -647,7 +653,7 @@ class TestGaussNewtonStep:
         shapes = ((12, 2, 3), (16, 3, 6), (20, 4, 8), (12, 2, 8), (16, 3, 12), (20, 4, 16))
         for trial, (d, k, T) in enumerate(shapes):
             inst = planted_instance(d, k, 1, T, 10.0 ** -(1 + trial % 3), 1.4, seed=6000 + trial)
-            assert estimator._near_edge(d, k, T)
+            assert estimator._near_edge(k, T)
             cfg = EstimatorConfig(init=RandomInit(k, seed=trial), outer_iters=60)
             trail = fit(inst.dataset, cfg).loss_per_outer_iter
             assert np.all(np.diff(trail) <= 0.0)
@@ -691,7 +697,7 @@ class TestGaussNewtonStep:
         ragged = Dataset(inst.dataset.times, (mats[0], mats[1][:, :1], mats[2], mats[3]))
         cfg = EstimatorConfig(init=RandomInit(2, seed=5), outer_iters=40, rel_loss_tol=0.0)
         for data in (inst.dataset, ragged):
-            assert estimator._near_edge(12, 2, data.total_columns)
+            assert estimator._near_edge(2, data.total_columns)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(estimator, "_EDGE_COLUMNS_PER_RANK", 0)
                 block_only = fit(data, cfg)
@@ -713,6 +719,53 @@ class TestGaussNewtonStep:
             assert not rejected.converged
             np.testing.assert_array_equal(rejected.loss_per_outer_iter, block_only.loss_per_outer_iter)
             np.testing.assert_array_equal(rejected.model.H, block_only.model.H)
+
+    def test_failed_solve_falls_back_to_block_iterate(self):
+        # A LinAlgError in the step's solve rejects the step: the fit keeps
+        # the block iterates, exactly as if the step were never tried.
+        inst = planted_instance(12, 2, 2, 4, 1e-2, 1.2, seed=64)
+        cfg = EstimatorConfig(init=RandomInit(2, seed=5), outer_iters=40, rel_loss_tol=0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_EDGE_COLUMNS_PER_RANK", 0)
+            block_only = fit(inst.dataset, cfg)
+        solves = []
+
+        def failing(*args):
+            solves.append(args)
+            raise np.linalg.LinAlgError("forced")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "solve", failing)
+            failed = fit(inst.dataset, cfg)
+        assert len(solves) > 1
+        assert failed.outer_iters_run == block_only.outer_iters_run == 40
+        np.testing.assert_array_equal(failed.loss_per_outer_iter, block_only.loss_per_outer_iter)
+        np.testing.assert_array_equal(failed.model.H, block_only.model.H)
+        np.testing.assert_array_equal(failed.model.Y, block_only.model.Y)
+        np.testing.assert_array_equal(failed.model.theta, block_only.model.theta)
+
+    def test_single_blas_thread_edge_fit_completes(self):
+        # A PhaseTransition-grid instance on which an SVD of the data outside
+        # span [H Y] failed to converge under one OpenBLAS thread; the step
+        # now factorizes no data matrix.  BLAS reads its thread count at
+        # import, hence the subprocess.
+        script = (
+            "import json\n"
+            "from geogress import EndpointsInit, EstimatorConfig, fit, planted_instance\n"
+            "inst = planted_instance(40, 8, 1, 32, 1e-5, 1.4, seed=305473420)\n"
+            "cfg = EstimatorConfig(init=EndpointsInit(8), outer_iters=100, inner_basis_iters=10)\n"
+            "print(json.dumps(fit(inst.dataset, cfg).loss_per_outer_iter.tolist()))\n"
+        )
+        src = str(Path(estimator.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        trail = np.array(json.loads(done.stdout.splitlines()[-1]))
+        assert trail.size > 1
+        assert np.all(np.diff(trail) <= 0.0)
 
 
 class TestConfigValidation:

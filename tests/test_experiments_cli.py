@@ -329,8 +329,25 @@ class TestCli:
         {"T": [10, 12.5]},
         {"omega_steps": 5.0},
         {"theta_steps": None},
+        {"true_k": 1.5},
+        {"true_k": True},
+        {"sigma": ["x"]},
+        {"sigma": [False]},
+        {"theta_max": [None]},
+        {"experiment": "PiecewiseDemo", "lambdas": ["x"]},
+        {"estimator": {"outer_iters": "3"}},
+        {"estimator": {"inner_mm_iters": 2.0}},
+        {"estimator": {"inner_basis_iters": True}},
+        {"estimator": {"rel_loss_tol": "0"}},
+        {"estimator": {"pool_fraction": [0.25]}},
+        {"estimator": {"init_theta_max": "1"}},
+        {"estimator": {"time_center": "0.5"}},
+        {"estimator": {"init": 1}},
     ], ids=["unknown-estimator-key", "estimator-not-object", "trials-string", "base-seed-float", "d-float",
-            "k-string", "ell-bool", "T-float", "omega-steps-float", "theta-steps-none"])
+            "k-string", "ell-bool", "T-float", "omega-steps-float", "theta-steps-none", "true-k-float",
+            "true-k-bool", "sigma-string", "sigma-bool", "theta-max-null", "lambdas-string",
+            "outer-iters-string", "inner-mm-iters-float", "inner-basis-iters-bool", "rel-loss-tol-string",
+            "pool-fraction-list", "init-theta-max-string", "time-center-string", "init-number"])
     def test_bad_experiment_config_exit_code(self, tmp_path, override):
         cfg = tmp_path / "exp.json"
         payload = {"experiment": "Convergence", "d": [10], "k": [2], "T": [10], "trials": 1,
