@@ -43,10 +43,11 @@ positive ones through the identity f(x; t, phi) = f(x; -t, -phi).
 
 The loss is a sum over data columns, so every dataset, ragged or not, is
 handled as one d x N column stack with a time per column (`_Columns`):
-the loss, both block updates and the public functions built on them share
-that one kernel.  Its residual is formed explicitly, in one d x N
-workspace allocated with the stack and reused by every loss evaluation of
-a fit.
+the loss, both block updates, the step of 3. and the public functions
+built on them share that one kernel.  Its `evaluate` returns one record
+per point (`_Point`), which `fit` carries from iterate to iterate and the
+step linearises at.  The residual is formed explicitly, in one d x N
+workspace allocated with the stack.
 """
 
 from __future__ import annotations
@@ -173,6 +174,27 @@ class AngleConstants:
 # The column-stack kernel
 
 
+@dataclass(slots=True)
+class _Point:
+    """A point (H, Y, theta) with what `_Columns.evaluate` computed there.
+
+    Q = [H Y], proj = Q^T X, cos and sin of theta tau, the loadings
+    c = U(tau)^T x of each column (coords), [cos c; sin c] (weighted) and
+    the loss, or None when it was not asked for.
+    """
+
+    H: np.ndarray
+    Y: np.ndarray
+    theta: np.ndarray
+    Q: np.ndarray
+    proj: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    coords: np.ndarray
+    weighted: np.ndarray
+    loss: float | None
+
+
 class _Columns:
     """A dataset as one d x N column stack X with a time tau per column.
 
@@ -192,34 +214,36 @@ class _Columns:
         # call costs more in page faults than its arithmetic on wide data.
         self.resid = np.empty_like(self.x)
 
-    def project(self, H, Y):
-        """[H Y]^T X, shape 2k x N."""
-        return np.concatenate([H, Y], axis=1).T @ self.x
+    def project(self, Q):
+        """Q^T X for Q = [H Y], shape 2k x N."""
+        return Q.T @ self.x
 
-    def evaluate(self, H, Y, theta, proj=None, with_loss: bool = True):
-        """Weighted loadings at (H, Y, theta) and (optionally) the residual loss.
+    def evaluate(self, H, Y, theta, proj=None, with_loss: bool = True) -> _Point:
+        """The point (H, Y, theta) with its loadings and (optionally) its residual loss.
 
         With c = U(tau)^T x the loadings of each column, the weighted
         loadings [cos(theta tau) c; sin(theta tau) c] (2k x N) give both the
         projections [H Y] times them and the Procrustes target.  The residual
         is formed explicitly, in this object's workspace: ||X||^2 - ||c||^2
         cancels catastrophically at the noise floors the fits reach.  The
-        returned loadings are a fresh array.  `proj` is `project(H, Y)` if
-        the caller has it.
+        arrays computed here are fresh, so a later call leaves the returned
+        point intact.  `proj` is [H Y]^T X if the caller has it.
         """
+        Q = np.concatenate([H, Y], axis=1)
         if proj is None:
-            proj = self.project(H, Y)
+            proj = self.project(Q)
         k = H.shape[1]
         angles = theta[:, None] * self.tau[None, :]
         cos_all, sin_all = np.cos(angles), np.sin(angles)
         coords = cos_all * proj[:k] + sin_all * proj[k:]
         weighted = np.concatenate([cos_all * coords, sin_all * coords])
-        if not with_loss:
-            return weighted, None
-        resid = np.matmul(np.concatenate([H, Y], axis=1), weighted, out=self.resid)
-        np.subtract(self.x, resid, out=resid)
-        np.multiply(resid, resid, out=resid)
-        return weighted, float(resid.sum())
+        value = None
+        if with_loss:
+            resid = np.matmul(Q, weighted, out=self.resid)
+            np.subtract(self.x, resid, out=resid)
+            np.multiply(resid, resid, out=resid)
+            value = float(resid.sum())
+        return _Point(H, Y, theta, Q, proj, cos_all, sin_all, coords, weighted, value)
 
     def update_bases(self, weighted):
         """Polar factor of the Procrustes target X weighted^T, and whether it kept full rank."""
@@ -230,7 +254,7 @@ class _Columns:
         return q[:, :k], q[:, k:], rank_ok
 
     def constants(self, proj) -> AngleConstants:
-        """Angle constants per sample from `project(H, Y)`."""
+        """Angle constants per sample from `project([H Y])`."""
         k = proj.shape[0] // 2
         a, c = proj[:k], proj[k:]
         sums = np.add.reduceat(np.concatenate([a * a, c * a, c * c]), self.starts, axis=1).T
@@ -258,16 +282,15 @@ def _check_dims(dataset: Dataset, model: GeodesicModel) -> None:
 def loss(dataset: Dataset, model: GeodesicModel) -> float:
     """Projection residual sum_i ||X_i - U(t_i) U(t_i)^T X_i||_F^2 (non-negative)."""
     _check_dims(dataset, model)
-    return _Columns(dataset).evaluate(model.H, model.Y, model.theta)[1]
+    return _Columns(dataset).evaluate(model.H, model.Y, model.theta).loss
 
 
 def reconstruct(dataset: Dataset, model: GeodesicModel) -> list[np.ndarray]:
     """Per-sample projections U(t_i) (U(t_i)^T X_i) onto the model's subspaces."""
     _check_dims(dataset, model)
     columns = _Columns(dataset)
-    weighted, _ = columns.evaluate(model.H, model.Y, model.theta, with_loss=False)
-    fitted = np.concatenate([model.H, model.Y], axis=1) @ weighted
-    return np.split(fitted, columns.starts[1:], axis=1)
+    point = columns.evaluate(model.H, model.Y, model.theta, with_loss=False)
+    return np.split(point.Q @ point.weighted, columns.starts[1:], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +308,8 @@ def basis_update(dataset: Dataset, model: GeodesicModel) -> tuple[np.ndarray, np
     """
     _check_dims(dataset, model)
     columns = _Columns(dataset)
-    weighted, _ = columns.evaluate(model.H, model.Y, model.theta, with_loss=False)
-    H, Y, rank_ok = columns.update_bases(weighted)
+    point = columns.evaluate(model.H, model.Y, model.theta, with_loss=False)
+    H, Y, rank_ok = columns.update_bases(point.weighted)
     if not rank_ok:
         warnings.warn(
             "Procrustes target is numerically rank deficient; some basis columns are unconstrained by the data",
@@ -313,7 +336,7 @@ def angle_constants(dataset: Dataset, H: np.ndarray, Y: np.ndarray) -> AngleCons
     if dataset.d != H.shape[0]:
         raise DimensionMismatch(f"dataset has d={dataset.d} but bases have d={H.shape[0]}")
     columns = _Columns(dataset)
-    return columns.constants(columns.project(H, Y))
+    return columns.constants(columns.project(np.concatenate([H, Y], axis=1)))
 
 
 class _AngleStepper:
@@ -437,16 +460,16 @@ def _initial_model(dataset: Dataset, init: InitStrategy) -> GeodesicModel:
 # sigma <= 1e-3, (d, k) = (30, 3), (50, 5), (50, 6), block descent alone
 # ran out a 1250-iteration budget at every N/k measured (2 to 16, and to 64
 # at sigma = 1e-3), and with the step the fits stopped after a median of
-# 4-49 iterations at a lower error.  8 is set by the test suite: it is the widest bound that
-# keeps the fits of acceptance criteria 4-6 (N down to 11k) and of the
-# landscape tests (N = 9k) on the block updates alone, so their iterates
-# stay those the criteria were set on.
+# 4-49 iterations at a lower error.  8 is set by the test suite: it is the
+# widest bound that keeps the fits of acceptance criteria 4-6 (N down to
+# 11k) and of the landscape tests (N = 9k) on the block updates alone, so
+# their iterates stay those the criteria were set on.
 _EDGE_COLUMNS_PER_RANK = 8
 # A memory and time guard for a large k: the step forms and solves a dense
 # system of 2k^2 unknowns, at most this many, so k <= 22.  At k = 22 and
-# N = 8k columns its Jacobian blocks are 30 MB each, and one attempt takes
-# about 0.4 s on one core.  No fit in the tests or the benchmark comes near
-# it; the largest, at k = 8, has 128.
+# N = 8k columns its Jacobian blocks are 30 MB each and take, with the
+# normal equations, about 0.25 s on one core.  No fit in the tests or the
+# benchmark comes near it; the largest, at k = 8, has 128.
 _MAX_STEP_UNKNOWNS = 1024
 # Levenberg-Marquardt damping, relative to the largest Gauss-Newton curvature.
 _DAMPING_START = 1e-4
@@ -473,7 +496,7 @@ def _near_edge(k: int, n_columns: int) -> bool:
 
 
 class _EdgeChart:
-    """The stacked residual X_i - U(t_i) U(t_i)^T X_i, linearised at (H, Y, theta).
+    """The stacked residual X_i - U(t_i) U(t_i)^T X_i, linearised at a block iterate.
 
     The chart rotates Q = [H Y] within its span, to Q polar(I + A) with A a
     skew 2k x 2k matrix, and moves the angles along dtheta.  The data's
@@ -482,48 +505,41 @@ class _EdgeChart:
     Per column the residual has k rows along U(t), zero at the chart's
     origin, and k rows along the rest of span Q.  A step packs
     (upper triangle of A, dtheta) into one vector of 2k^2 unknowns.
+
+    Q, Q^T X, cos(theta tau), sin(theta tau) and the loadings are those
+    `_Columns.evaluate` computed at the iterate.
     """
 
-    def __init__(self, x: np.ndarray, tau: np.ndarray, H, Y, theta):
-        k = H.shape[1]
-        n = x.shape[1]
-        self.k = k
-        self.theta = theta
-        self.Q = np.concatenate([H, Y], axis=1)
-        q = self.Q.T @ x
-        angles = theta[:, None] * tau[None, :]
-        self.cos, self.sin = cos_all, sin_all = np.cos(angles), np.sin(angles)
-        c = cos_all * q[:k] + sin_all * q[k:]
-        self.e = e = cos_all * q[k:] - sin_all * q[:k]
-        # v = U(t) c and r = the rest of span Q times e, in Q coordinates;
-        # cs[j, l] and cd[j, l] are the l-th such columns at column j's time.
-        v = np.concatenate([cos_all * c, sin_all * c])
+    def __init__(self, point: _Point, tau: np.ndarray):
+        self.point = point
+        self.k = k = point.H.shape[1]
+        cos_all, sin_all, c, v = point.cos, point.sin, point.coords, point.weighted
+        self.e = e = cos_all * point.proj[k:] - sin_all * point.proj[:k]
+        # v = U(t) c and r = the rest of span Q times e, in Q coordinates.
+        # Column m of Q moves row m mod k of each block: along U(t) by cs[m]
+        # and along the rest of span Q by cd[m].
         r = np.concatenate([-sin_all * e, cos_all * e])
-        eye = np.eye(k)
-        cs = np.concatenate([cos_all.T[:, :, None] * eye, sin_all.T[:, :, None] * eye], axis=2)
-        cd = np.concatenate([-sin_all.T[:, :, None] * eye, cos_all.T[:, :, None] * eye], axis=2)
+        cs, cd = np.concatenate([cos_all, sin_all]), np.concatenate([-sin_all, cos_all])
         # The skew generator e_a e_b^T - e_b e_a^T (a < b) moves the rows by
-        # -cd^T A v (rest of span Q) and cs^T A r (along U(t)).
+        # -cd^T A v (rest of span Q) and cs^T A r (along U(t)); each of its
+        # two terms touches one row, written into a zeroed block.
         self.ia, self.ib = ia, ib = np.triu_indices(2 * k, 1)
-        v_t, r_t = v.T[:, None, :], r.T[:, None, :]
-        along_theta = np.zeros((n, k, k))
-        idx = np.arange(k)
-        along_theta[:, idx, idx] = -tau[:, None] * c.T
-        self.jac_n = np.concatenate(
-            [cd[:, :, ib] * v_t[:, :, ia] - cd[:, :, ia] * v_t[:, :, ib], along_theta], axis=2
-        )
-        along_theta[:, idx, idx] = -tau[:, None] * e.T
-        self.jac_u = np.concatenate(
-            [cs[:, :, ia] * r_t[:, :, ib] - cs[:, :, ib] * r_t[:, :, ia], along_theta], axis=2
-        )
+        row_a, row_b, pair, idx = ia % k, ib % k, np.arange(ia.size), np.arange(k)
+        self.jac_n = np.zeros((tau.size, k, ia.size + k))
+        self.jac_n[:, row_b, pair] = (cd[ib] * v[ia]).T
+        self.jac_n[:, row_a, pair] -= (cd[ia] * v[ib]).T
+        self.jac_n[:, idx, ia.size + idx] = -tau[:, None] * c.T
+        self.jac_u = np.zeros((tau.size, k, ia.size + k))
+        self.jac_u[:, row_a, pair] = (cs[ia] * r[ib]).T
+        self.jac_u[:, row_b, pair] -= (cs[ib] * r[ia]).T
+        self.jac_u[:, idx, ia.size + idx] = -tau[:, None] * e.T
 
     def directional(self, step: np.ndarray) -> np.ndarray:
         """Jacobian times `step`, as a d x N matrix of residual changes."""
+        p = self.point
         along_rest, along_u = (self.jac_n @ step).T, (self.jac_u @ step).T
-        in_q = np.concatenate(
-            [self.cos * along_u - self.sin * along_rest, self.sin * along_u + self.cos * along_rest]
-        )
-        return self.Q @ in_q
+        in_q = np.concatenate([p.cos * along_u - p.sin * along_rest, p.sin * along_u + p.cos * along_rest])
+        return p.Q @ in_q
 
     def normal_equations(self):
         """Gauss-Newton matrix J^T J and gradient J^T r of the stacked residual.
@@ -532,56 +548,52 @@ class _EdgeChart:
         nonzero where J is: the rows along U(t) vanish at the chart's origin.
         """
         n, k, n_s = self.jac_n.shape
-        jn = self.jac_n.reshape(n * k, n_s)
-        ju = self.jac_u.reshape(n * k, n_s)
+        jn, ju = self.jac_n.reshape(n * k, n_s), self.jac_u.reshape(n * k, n_s)
         return jn.T @ jn + ju.T @ ju, jn.T @ self.e.T.reshape(-1)
 
     def retract(self, step: np.ndarray):
         """(H, Y, theta) after `step`: Q times the polar factor of I + A."""
-        k = self.k
-        n_a = self.ia.size
+        k, n_a = self.k, self.ia.size
         A = np.zeros((2 * k, 2 * k))
         A[self.ia, self.ib] = step[:n_a]
         A -= A.T
         u, _, vt = np.linalg.svd(np.eye(2 * k) + A)
-        q = self.Q @ (u @ vt)
-        return q[:, :k], q[:, k:], self.theta + step[n_a:]
+        q = self.point.Q @ (u @ vt)
+        return q[:, :k], q[:, k:], self.point.theta + step[n_a:]
 
 
 class _EdgeStep:
     """Safeguarded Levenberg-Marquardt step tried after a stalling block iteration.
 
     The step is tried only when the block updates removed less than half of
-    the loss.  A step is kept only when its loss is not above the block
-    iterate's, so the loss trail stays monotone.  The damping follows the gain ratio of
+    the loss, and kept only when its loss is not above the block iterate's,
+    so the loss trail stays monotone.  The damping follows the gain ratio of
     kept steps (Nielsen's rule); a rejected step raises it and skips the
     next attempts, doubling the wait on each consecutive rejection, so a fit
     the step cannot help pays little for it.
     """
 
-    def __init__(self, x: np.ndarray, tau: np.ndarray):
-        self.x = x
-        self.tau = tau
+    def __init__(self, columns: _Columns):
+        self.columns = columns
         self.damping = _DAMPING_START
         self.raise_by = 2.0
         self.wait = 0
         self.backoff = 1
 
-    def improve(self, H, Y, theta, previous: float, block_loss: float, evaluate):
-        """A better (H, Y, theta, evaluation) than the block iterate, or None.
+    def improve(self, block: _Point, previous: float) -> _Point | None:
+        """The evaluated point of a kept step from `block`, or None.
 
-        `previous` is the loss before the block updates and `block_loss`
-        after them.  `evaluate(H, Y, theta)` is the outer loop's own loss
-        evaluation: a tuple whose last entry is the loss.  The kept step's
-        tuple is handed back so the loop can reuse what it computed, and the
-        trail holds one loss formula throughout.
+        `block` is the block iterate as `_Columns.evaluate` returned it, with
+        its loss, and `previous` the loss before the block updates.  The
+        trial point is evaluated by the same `columns.evaluate`, so the trail
+        holds one loss formula and the loop goes on from the kept record.
         """
-        if previous - block_loss >= _STALL_SHARE * previous:
+        if previous - block.loss >= _STALL_SHARE * previous:
             return None
         if self.wait > 0:
             self.wait -= 1
             return None
-        chart = _EdgeChart(self.x, self.tau, H, Y, theta)
+        chart = _EdgeChart(block, self.columns.tau)
         gram, grad = chart.normal_equations()
         shift = self.damping * max(float(np.max(np.diag(gram))), _TINY)
         gram[np.diag_indices_from(gram)] += shift
@@ -590,29 +602,20 @@ class _EdgeStep:
         except np.linalg.LinAlgError:
             step = None
         if step is not None and np.all(np.isfinite(step)):
-            new_H, new_Y, new_theta = chart.retract(step)
-            evaluation = evaluate(new_H, new_Y, new_theta)
-            trial = evaluation[-1]
-            if trial <= block_loss:
+            trial = self.columns.evaluate(*chart.retract(step))
+            if trial.loss <= block.loss:
                 # Decrease of the undamped Gauss-Newton model along the step.
                 predicted = shift * float(step @ step) - float(grad @ step)
-                gain = (block_loss - trial) / predicted if predicted > 0 else 0.0
+                gain = (block.loss - trial.loss) / predicted if predicted > 0 else 0.0
                 self.damping = max(self.damping * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), _DAMPING_MIN)
                 self.raise_by = 2.0
                 self.backoff = 1
-                return new_H, new_Y, new_theta, evaluation
+                return trial
         self.damping = min(self.damping * self.raise_by, _DAMPING_MAX)
         self.raise_by *= 2.0
         self.wait = self.backoff
         self.backoff = min(2 * self.backoff, _MAX_BACKOFF)
         return None
-
-
-def _edge_step(columns: _Columns, k: int) -> _EdgeStep | None:
-    """The Gauss-Newton stepper for data near the edge, None elsewhere."""
-    if not _near_edge(k, columns.x.shape[1]):
-        return None
-    return _EdgeStep(columns.x, columns.tau)
 
 
 def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
@@ -640,8 +643,8 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
     the rotations within span [H Y] and the angles, and keeps it only if
     its loss is not above the block iterate's.  A rejected step, or a solve
     that fails, leaves the block iterate in place and the fit goes on;
-    repeated rejections space out further attempts.  Other fits never take the step, so their
-    iterates are those of the two block updates alone.
+    repeated rejections space out further attempts.  Other fits never take
+    the step, so their iterates are those of the two block updates alone.
 
     When `time_center` is set, fitting happens on the shifted axis
     t - t_center and the returned model is re-expressed on the original
@@ -660,39 +663,35 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
         model = model.shifted_origin(t_center)
 
     columns = _Columns(work)
-    edge = _edge_step(columns, model.k)
-    H, Y, theta = model.H, model.Y, model.theta
-    weighted, current = columns.evaluate(H, Y, theta)
-    losses = [current]
+    edge = _EdgeStep(columns) if _near_edge(model.k, columns.x.shape[1]) else None
+    point = columns.evaluate(model.H, model.Y, model.theta)
+    losses = [point.loss]
     stop_reason = "budget"
     iters_run = 0
     rank_collapsed = False
     for n in range(1, config.outer_iters + 1):
-        new_H, new_Y, rank_ok = columns.update_bases(weighted)
+        new_H, new_Y, rank_ok = columns.update_bases(point.weighted)
         rank_collapsed |= not rank_ok
         for _ in range(config.inner_basis_iters - 1):
-            weighted, _ = columns.evaluate(new_H, new_Y, theta, with_loss=False)
-            new_H, new_Y, rank_ok = columns.update_bases(weighted)
+            inner = columns.evaluate(new_H, new_Y, point.theta, with_loss=False)
+            new_H, new_Y, rank_ok = columns.update_bases(inner.weighted)
             rank_collapsed |= not rank_ok
-        proj = columns.project(new_H, new_Y)
+        proj = columns.project(np.concatenate([new_H, new_Y], axis=1))
         constants = columns.constants(proj)
-        new_theta = _AngleStepper(constants.r, constants.phi, work.times).run(theta, config.inner_mm_iters)
-        weighted, candidate = columns.evaluate(new_H, new_Y, new_theta, proj)
-        previous = losses[-1]
+        new_theta = _AngleStepper(constants.r, constants.phi, work.times).run(point.theta, config.inner_mm_iters)
+        block = columns.evaluate(new_H, new_Y, new_theta, proj)
+        previous = point.loss
         iters_run = n
-        if candidate > previous:
+        if block.loss > previous:
             # Numerical non-descent: keep the previous iterate.
             stop_reason = "non_descent"
             break
-        if edge is not None:
-            better = edge.improve(new_H, new_Y, new_theta, previous, candidate, columns.evaluate)
-            if better is not None:
-                new_H, new_Y, new_theta, (weighted, candidate) = better
-        H, Y, theta = new_H, new_Y, new_theta
-        losses.append(candidate)
+        better = edge.improve(block, previous) if edge is not None else None
+        point = block if better is None else better
+        losses.append(point.loss)
         if callback is not None:
-            callback(GeodesicModel(H, Y, theta), candidate)
-        if (previous - candidate) < config.rel_loss_tol * max(previous, _TINY):
+            callback(GeodesicModel(point.H, point.Y, point.theta), point.loss)
+        if (previous - point.loss) < config.rel_loss_tol * max(previous, _TINY):
             stop_reason = "tolerance"
             break
     if rank_collapsed:
@@ -702,7 +701,7 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
             stacklevel=2,
         )
 
-    model = GeodesicModel(H, Y, theta)
+    model = GeodesicModel(point.H, point.Y, point.theta)
     if t_center is not None and t_center != 0.0:
         model = model.shifted_origin(-t_center)
     trail = np.asarray(losses)

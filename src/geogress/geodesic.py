@@ -44,7 +44,7 @@ def require_basis(basis: np.ndarray, what: str = "basis", tol: float = ORTHO_TOL
     if b.shape[1] < 1 or b.shape[0] < b.shape[1]:
         raise DimensionMismatch(f"{what} must be tall with at least one column, got shape {b.shape}")
     defect = gram_defect(b)
-    if defect > tol:
+    if not defect <= tol:  # also catches NaN
         raise NotOrthonormal(f"{what} columns are not orthonormal (defect {defect:.3e} > {tol:.1e})")
     return b
 
@@ -101,8 +101,8 @@ class GeodesicModel:
     """Immutable (H, Y, theta) triple describing a subspace geodesic.
 
     H, Y are d x k with orthonormal columns and H^T Y = 0; theta holds the k
-    signed angles (radians of arc swept per unit time).  Validation happens
-    at construction, so any held instance satisfies the invariants.
+    finite signed angles (radians of arc swept per unit time).  Validation
+    happens at construction, so any held instance satisfies the invariants.
     """
 
     H: np.ndarray
@@ -122,10 +122,12 @@ class GeodesicModel:
             raise DimensionMismatch(f"need 2k <= d, got k={k}, d={d}")
         if theta.shape != (k,):
             raise DimensionMismatch(f"theta must have shape ({k},), got {theta.shape}")
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("theta must be finite")
         require_basis(H, "H")
         require_basis(Y, "Y")
         cross = float(np.max(np.abs(H.T @ Y)))
-        if cross > ORTHO_TOL:
+        if not cross <= ORTHO_TOL:
             raise NotTangent(f"H^T Y != 0 (max-abs {cross:.3e} > {ORTHO_TOL:.1e})")
         object.__setattr__(self, "H", _freeze(H))
         object.__setattr__(self, "Y", _freeze(Y))

@@ -29,6 +29,18 @@ from .metrics import subspace_error
 _TINY = np.finfo(float).tiny
 
 
+def _checked_knots(knots) -> np.ndarray:
+    """Knots as floats: at least two, strictly increasing, spanning [0, 1] within 1e-12."""
+    knots = np.asarray(knots, dtype=float)
+    if knots.ndim != 1 or knots.size < 2:
+        raise DimensionMismatch("need at least two knots")
+    if not np.all(np.diff(knots) > 0):
+        raise ValueError("knots must be strictly increasing")
+    if not (abs(knots[0]) <= 1e-12 and abs(knots[-1] - 1.0) <= 1e-12):
+        raise ValueError("knots must span [0, 1]")
+    return knots
+
+
 @dataclass(frozen=True)
 class PiecewiseModel:
     """J geodesic segments over strictly increasing knots spanning [0, 1]."""
@@ -38,13 +50,7 @@ class PiecewiseModel:
     lam: float
 
     def __post_init__(self) -> None:
-        knots = np.asarray(self.knots, dtype=float)
-        if knots.ndim != 1 or knots.size < 2:
-            raise DimensionMismatch("need at least two knots")
-        if np.any(np.diff(knots) <= 0):
-            raise ValueError("knots must be strictly increasing")
-        if abs(knots[0]) > 1e-12 or abs(knots[-1] - 1.0) > 1e-12:
-            raise ValueError("knots must span [0, 1]")
+        knots = _checked_knots(self.knots)
         if len(self.segments) != knots.size - 1:
             raise DimensionMismatch(
                 f"{knots.size - 1} knot intervals but {len(self.segments)} segments"
@@ -90,10 +96,10 @@ def split_by_knots(dataset: Dataset, knots: np.ndarray) -> list[Dataset]:
     """Per-segment datasets with local times rescaled to [0, 1].
 
     A sample at an interior knot belongs to the right-hand segment; the
-    final knot belongs to the last segment.  Raises EmptySegment when an
-    interval has no samples.
+    final knot belongs to the last segment.  The knots obey PiecewiseModel's
+    rules.  Raises EmptySegment when an interval has no samples.
     """
-    knots = np.asarray(knots, dtype=float)
+    knots = _checked_knots(knots)
     J = knots.size - 1
     t = dataset.times
     if np.any(t < knots[0] - 1e-12) or np.any(t > knots[-1] + 1e-12):

@@ -76,7 +76,8 @@ def save_model(model: GeodesicModel, path) -> None:
 
 def load_model(path) -> GeodesicModel:
     """Parse a model file; validation of the loaded triple is reused from
-    GeodesicModel, so orthonormality/tangency violations raise as usual."""
+    GeodesicModel, so orthonormality/tangency violations raise as usual and
+    a non-finite theta raises MalformedFile."""
     lines = _read_text(path).splitlines()
     if not lines:
         raise MalformedFile(f"{path}: empty file")
@@ -101,7 +102,10 @@ def load_model(path) -> GeodesicModel:
     theta = _parse_row(lines[3 + 2 * d], "theta")
     if theta.size != k:
         raise MalformedFile(f"{path}: theta has {theta.size} entries, expected {k}")
-    return GeodesicModel(H, Y, theta)
+    try:
+        return GeodesicModel(H, Y, theta)
+    except ValueError as exc:
+        raise MalformedFile(f"{path}: {exc}") from exc
 
 
 def save_dataset(dataset: Dataset, path) -> None:

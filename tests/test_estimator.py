@@ -127,18 +127,13 @@ def reference_mm_steps(r, phi, times, theta, steps):
 def oracle_fit(dataset, model, config):
     """`fit`'s outer loop built from the per-sample references; returns (trail, iterations run).
 
-    Same stop rules and the same Gauss-Newton step near the edge, judged by
-    this loop's own loss evaluation.  No time centering.
+    Same stop rules and the same Gauss-Newton step near the edge; the trail
+    records the per-sample loss, and the step is taken and judged on the
+    column stack, as in `fit`.  No time centering.
     """
-
-    def evaluate(H, Y, theta):
-        return (sample_loss(dataset, GeodesicModel(H, Y, theta)),)
-
     k = model.k
-    edge = None
-    if estimator._near_edge(k, dataset.total_columns):
-        widths = [x.shape[1] for x in dataset.matrices]
-        edge = estimator._EdgeStep(dataset.column_stack(), np.repeat(dataset.times, widths))
+    columns = estimator._Columns(dataset)
+    edge = estimator._EdgeStep(columns) if estimator._near_edge(k, dataset.total_columns) else None
     H, Y, theta = model.H, model.Y, model.theta
     losses = [sample_loss(dataset, model)]
     for n in range(1, config.outer_iters + 1):
@@ -150,14 +145,15 @@ def oracle_fit(dataset, model, config):
         new_theta = theta
         for _ in range(config.inner_mm_iters):
             new_theta = angle_mm_step(constants, new_theta, dataset.times)
-        (current,) = evaluate(new_H, new_Y, new_theta)
+        current = sample_loss(dataset, GeodesicModel(new_H, new_Y, new_theta))
         previous = losses[-1]
         if current > previous:
             return losses, n
         if edge is not None:
-            better = edge.improve(new_H, new_Y, new_theta, previous, current, evaluate)
+            better = edge.improve(columns.evaluate(new_H, new_Y, new_theta), previous)
             if better is not None:
-                new_H, new_Y, new_theta, (current,) = better
+                new_H, new_Y, new_theta = better.H, better.Y, better.theta
+                current = sample_loss(dataset, GeodesicModel(new_H, new_Y, new_theta))
         H, Y, theta = new_H, new_Y, new_theta
         losses.append(current)
         if previous - current < config.rel_loss_tol * max(previous, np.finfo(float).tiny):
@@ -210,31 +206,30 @@ class TestResidualWorkspace:
         for data in (uniform, ragged_dataset(71)):
             columns = estimator._Columns(data)
             first, second = (random_geodesic(data.d, 2, 1.0, seed=seed) for seed in (72, 73))
-            weighted, first_loss = columns.evaluate(first.H, first.Y, first.theta)
-            kept = weighted.copy()
-            _, second_loss = columns.evaluate(second.H, second.Y, second.theta)
-            np.testing.assert_array_equal(weighted, kept)
-            for m, value in ((first, first_loss), (second, second_loss)):
-                assert value == estimator._Columns(data).evaluate(m.H, m.Y, m.theta)[1]
+            first_point = columns.evaluate(first.H, first.Y, first.theta)
+            kept = first_point.weighted.copy()
+            second_point = columns.evaluate(second.H, second.Y, second.theta)
+            np.testing.assert_array_equal(first_point.weighted, kept)
+            for m, value in ((first, first_point.loss), (second, second_point.loss)):
+                assert value == estimator._Columns(data).evaluate(m.H, m.Y, m.theta).loss
 
     def test_kept_gauss_newton_evaluation_survives_later_calls(self):
-        # Near the edge `fit` reuses the evaluation of a kept step; a later
-        # evaluation on the same stack must not overwrite it.
+        # Near the edge `fit` goes on from the evaluation of a kept step; a
+        # later evaluation on the same stack must not overwrite it.
         data = planted_instance(12, 2, 2, 4, 1e-2, 1.2, seed=64).dataset
         columns = estimator._Columns(data)
-        edge = estimator._edge_step(columns, 2)
-        assert edge is not None
+        assert estimator._near_edge(2, data.total_columns)
+        edge = estimator._EdgeStep(columns)
         m = random_geodesic(12, 2, 1.0, seed=74)
-        _, block_loss = columns.evaluate(m.H, m.Y, m.theta)
-        better = edge.improve(m.H, m.Y, m.theta, block_loss, block_loss, columns.evaluate)
+        block = columns.evaluate(m.H, m.Y, m.theta)
+        better = edge.improve(block, block.loss)
         assert better is not None
-        H, Y, theta, (weighted, kept_loss) = better
-        kept = weighted.copy()
-        _, block_again = columns.evaluate(m.H, m.Y, m.theta)
-        np.testing.assert_array_equal(weighted, kept)
-        fresh_weighted, fresh_loss = estimator._Columns(data).evaluate(H, Y, theta)
-        np.testing.assert_array_equal(weighted, fresh_weighted)
-        assert kept_loss == fresh_loss < block_loss == block_again
+        kept = better.weighted.copy()
+        block_again = columns.evaluate(m.H, m.Y, m.theta)
+        np.testing.assert_array_equal(better.weighted, kept)
+        fresh = estimator._Columns(data).evaluate(better.H, better.Y, better.theta)
+        np.testing.assert_array_equal(better.weighted, fresh.weighted)
+        assert better.loss == fresh.loss < block.loss == block_again.loss
 
 
 class TestBasisUpdate:
@@ -284,6 +279,14 @@ class TestBasisUpdate:
 
 
 class TestAngleConstants:
+    def test_shape_checks(self):
+        m = random_geodesic(10, 3, 1.0, seed=11)
+        ds = Dataset(np.array([0.0, 1.0]), (np.ones((10, 1)), np.ones((10, 2))))
+        with pytest.raises(DimensionMismatch):
+            angle_constants(ds, m.H, m.Y[:, :2])
+        with pytest.raises(DimensionMismatch):
+            angle_constants(ds, m.H[:8], m.Y[:8])
+
     def test_base_columns_as_data(self):
         m = random_geodesic(10, 3, 0.0, seed=10)
         ds = Dataset(np.array([0.0]), (m.H,))
@@ -629,7 +632,8 @@ class TestGaussNewtonStep:
         inst = planted_instance(12, 2, 1, 7, 0.1, 1.4, seed=61)
         x = inst.dataset.column_stack()
         m = random_geodesic(12, 2, 1.2, seed=62)
-        chart = estimator._EdgeChart(x, inst.dataset.times, m.H, m.Y, m.theta)
+        columns = estimator._Columns(inst.dataset)
+        chart = estimator._EdgeChart(columns.evaluate(m.H, m.Y, m.theta), columns.tau)
         rng = np.random.default_rng(63)
         A = rng.standard_normal((4, 4))
         A -= A.T
@@ -676,17 +680,21 @@ class TestGaussNewtonStep:
     def test_not_tried_while_block_descent_halves_the_loss(self):
         inst = planted_instance(12, 2, 1, 4, 1e-2, 1.2, seed=65)
         m = random_geodesic(12, 2, 1.0, seed=66)
-        step = estimator._EdgeStep(inst.dataset.column_stack(), inst.dataset.times)
+        columns = estimator._Columns(inst.dataset)
+        step = estimator._EdgeStep(columns)
         calls = []
+        evaluate = columns.evaluate
 
-        def evaluate(*point):
+        def counting(*point):
             calls.append(point)
-            return (loss(inst.dataset, GeodesicModel(*point)),)
+            return evaluate(*point)
 
-        block_loss = loss(inst.dataset, m)
-        assert step.improve(m.H, m.Y, m.theta, 2.0 * block_loss, block_loss, evaluate) is None
+        columns.evaluate = counting
+        block = evaluate(m.H, m.Y, m.theta)
+        assert block.loss == loss(inst.dataset, m)
+        assert step.improve(block, 2.0 * block.loss) is None
         assert calls == [] and step.wait == 0 and step.damping == estimator._DAMPING_START
-        step.improve(m.H, m.Y, m.theta, 1.5 * block_loss, block_loss, evaluate)
+        step.improve(block, 1.5 * block.loss)
         assert len(calls) == 1
 
     def test_rejected_step_falls_back_to_block_iterate(self):
@@ -704,12 +712,22 @@ class TestGaussNewtonStep:
             attempts = []
             improve = estimator._EdgeStep.improve
 
-            def rejecting(self, H, Y, theta, previous, block_loss, evaluate):
+            def rejecting(self, block, previous):
+                # The trial's evaluation reports an infinite loss.
+                columns = self.columns
+                evaluate = columns.evaluate
+
                 def worse(*point):
                     attempts.append(point)
-                    return (*evaluate(*point)[:-1], np.inf)
+                    trial = evaluate(*point)
+                    trial.loss = np.inf
+                    return trial
 
-                return improve(self, H, Y, theta, previous, block_loss, worse)
+                columns.evaluate = worse
+                try:
+                    return improve(self, block, previous)
+                finally:
+                    del columns.evaluate
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(estimator._EdgeStep, "improve", rejecting)

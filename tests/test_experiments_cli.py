@@ -285,6 +285,43 @@ class TestCli:
         assert lines[0].split(",") == STANDARD_HEADER
         assert len(lines) == 2
 
+    def test_experiment_flags_match_spec(self, tmp_path):
+        # The README's flag form on a tiny grid writes the rows of the
+        # equivalent ExperimentSpec, apart from the wall-clock column.
+        out = tmp_path / "flags.csv"
+        assert main([
+            "experiment", "--experiment", "PhaseTransition", "--d", "12", "--k", "2", "--T", "2,4",
+            "--sigma", "1e-3", "--trials", "2", "--seed", "7", "--init", "endpoints", "--out", str(out),
+        ]) == 0
+        spec = ExperimentSpec(experiment="PhaseTransition", d=(12,), k=(2,), T=(2, 4), sigma=(1e-3,), trials=2,
+                              base_seed=7, estimator={"init": "endpoints"}, out=str(tmp_path / "spec.csv"))
+        header, rows = run_experiment(spec)
+        drop = header.index("wall_ms")
+
+        def without_wall(text):
+            return [line.split(",")[:drop] + line.split(",")[drop + 1:] for line in text.splitlines()]
+
+        written = without_wall(out.read_text())
+        assert len(written) == 1 + 2 * 2
+        assert written == without_wall((tmp_path / "spec.csv").read_text())
+        assert written == without_wall(format_csv(header, rows))
+
+    @pytest.mark.parametrize("config_text, use_config, code", [
+        (None, False, 1),
+        (None, True, 2),
+        ("{not json", True, 1),
+        ("[1, 2]", True, 1),
+    ], ids=["missing-out", "unreadable-config", "invalid-json", "not-an-object"])
+    def test_experiment_input_failure_exit_codes(self, tmp_path, config_text, use_config, code):
+        config = tmp_path / "exp.json"
+        if config_text is not None:
+            config.write_text(config_text)
+        argv = ["experiment", "--experiment", "Convergence", "--d", "10", "--T", "10"]
+        if use_config:
+            argv += ["--config", str(config), "--out", str(tmp_path / "result.csv")]
+        assert main(argv) == code
+        assert not (tmp_path / "result.csv").exists()
+
     def test_landscape_command(self, tmp_path):
         data = tmp_path / "plane.txt"
         surface = tmp_path / "surface.csv"

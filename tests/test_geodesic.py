@@ -10,6 +10,7 @@ from geogress import (
     NotTangent,
     connect,
     random_geodesic,
+    static_as_geodesic,
     subspace_error,
 )
 from geogress.geodesic import orthonormal_complement, orthonormalize
@@ -47,6 +48,27 @@ class TestGeodesicModel:
             GeodesicModel(H, Y, np.zeros(3))
         with pytest.raises(DimensionMismatch):
             GeodesicModel(np.eye(3)[:, :2], np.eye(3)[:, 1:], np.zeros(2))  # 2k > d
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("token", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where, error", [("H", NotOrthonormal), ("Y", NotOrthonormal), ("theta", ValueError)])
+    def test_non_finite_entries_rejected(self, where, error, token):
+        H, Y = canonical_pair(6, 2)
+        parts = {"H": H.copy(), "Y": Y.copy(), "theta": np.array([0.1, -0.4])}
+        parts[where].reshape(-1)[1] = token
+        with pytest.raises(error):
+            GeodesicModel(parts["H"], parts["Y"], parts["theta"])
+
+    def test_non_finite_bases_rejected_by_constructions(self):
+        U, _ = canonical_pair(6, 2)
+        bad = U.copy()
+        bad[3, 0] = np.nan
+        with pytest.raises(NotOrthonormal):
+            connect(bad, U)
+        with pytest.raises(NotOrthonormal):
+            connect(U, bad)
+        with pytest.raises(NotOrthonormal):
+            static_as_geodesic(bad)
 
     def test_arrays_are_immutable(self):
         m = random_geodesic(8, 2, 1.0, seed=0)

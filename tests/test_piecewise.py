@@ -5,6 +5,7 @@ import pytest
 
 from geogress import (
     Dataset,
+    DimensionMismatch,
     EmptySegment,
     EstimatorConfig,
     RandomInit,
@@ -22,6 +23,8 @@ from geogress import (
     static_as_geodesic,
     subspace_error,
 )
+from geogress import piecewise
+from geogress.cli import main
 from geogress.piecewise import PiecewiseModel
 
 KNOTS = np.array([0.0, 0.5, 1.0])
@@ -43,6 +46,69 @@ class TestSplitByKnots:
         ds = Dataset(np.array([0.6, 0.8, 1.0]), tuple(np.ones((4, 1)) for _ in range(3)))
         with pytest.raises(EmptySegment):
             split_by_knots(ds, KNOTS)
+
+
+    def test_sample_time_outside_knots_raises(self):
+        ds = Dataset(np.array([-0.2, 0.4, 0.9]), tuple(np.ones((4, 1)) for _ in range(3)))
+        with pytest.raises(ValueError, match="outside the knot range"):
+            split_by_knots(ds, KNOTS)
+
+
+class TestBadInput:
+    """Invalid knots and arguments are rejected before any segment is fitted."""
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(piecewise, "fit", counting)
+        return calls
+
+    @pytest.mark.parametrize("knots, error", [
+        ([0.0, 0.5, 2.0], ValueError),
+        ([-1.0, 0.5, 1.0], ValueError),
+        ([0.0, 0.6, 0.4, 1.0], ValueError),
+        ([0.0, np.nan, 1.0], ValueError),
+        ([0.5], DimensionMismatch),
+    ], ids=["past-one", "below-zero", "not-increasing", "nan", "single-knot"])
+    def test_bad_knots_raise_before_any_fit(self, fits, knots, error):
+        inst = planted_instance(8, 2, 1, 9, 0.1, 1.0, seed=1)
+        with pytest.raises(error):
+            fit_piecewise(inst.dataset, np.array(knots), 1.0, config(outer=5))
+        with pytest.raises(error):
+            fit_piecewise_schedule(inst.dataset, np.array(knots), [0.0, 1.0], config(outer=5))
+        with pytest.raises(error):
+            split_by_knots(inst.dataset, np.array(knots))
+        seg = random_geodesic(8, 2, 1.0, seed=2)
+        with pytest.raises(error):
+            PiecewiseModel(np.array(knots), (seg,) * max(len(knots) - 1, 1), 1.0)
+        assert fits == []
+
+    def test_bad_knots_exit_one_before_any_fit(self, fits, tmp_path):
+        data = tmp_path / "data.txt"
+        assert main(["synth", "--d", "8", "--k", "2", "--T", "9", "--sigma", "0.1", "--seed", "1",
+                     "--out", str(data)]) == 0
+        assert main(["piecewise", "--data", str(data), "--knots", "0,0.5,2", "--k", "2",
+                     "--out", str(tmp_path / "stages.csv")]) == 1
+        assert fits == []
+        assert not (tmp_path / "stages.csv").exists()
+
+    def test_negative_lambda_rejected(self, fits):
+        inst = planted_instance(8, 2, 1, 9, 0.1, 1.0, seed=1)
+        with pytest.raises(ValueError, match="lambda"):
+            fit_piecewise(inst.dataset, KNOTS, -1.0, config(outer=5))
+        assert fits == []
+
+    def test_initial_segment_count_checked(self, fits):
+        inst = planted_instance(8, 2, 1, 9, 0.1, 1.0, seed=1)
+        seg = random_geodesic(8, 2, 1.0, seed=2)
+        with pytest.raises(DimensionMismatch):
+            fit_piecewise(inst.dataset, KNOTS, 1.0, config(outer=5), init_segments=(seg,) * 3)
+        assert fits == []
 
 
 class TestLambdaZero:
