@@ -35,7 +35,6 @@ def _float_list(text: str) -> list[float]:
 def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     # Unset flags stay None and take the EstimatorConfig defaults.
     parser.add_argument("--outer-iters", type=int, help="outer iteration budget")
-    parser.add_argument("--inner-mm-iters", type=int, help="angle MM steps per outer iteration")
     parser.add_argument("--inner-basis-iters", type=int, help="basis updates per outer iteration")
     parser.add_argument("--rel-loss-tol", type=float, help="relative stopping tolerance")
     parser.add_argument("--time-center", type=float, help="recenter times about this point while fitting")

@@ -65,6 +65,8 @@ from .geodesic import GeodesicModel, connect, principal_basis, random_geodesic
 
 _TINY = np.finfo(float).tiny
 _TWO_PI = 2.0 * np.pi
+# Angle MM steps per outer iteration; any count >= 1 keeps the loss monotone.
+_ANGLE_MM_STEPS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +113,6 @@ class EstimatorConfig:
 
     init: InitStrategy
     outer_iters: int = 200
-    inner_mm_iters: int = 5
     inner_basis_iters: int = 1
     rel_loss_tol: float = 1e-10
     time_center: float | None = None
@@ -119,8 +120,6 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.outer_iters < 1:
             raise ValueError("outer_iters must be >= 1")
-        if self.inner_mm_iters < 1:
-            raise ValueError("inner_mm_iters must be >= 1")
         if self.inner_basis_iters < 1:
             raise ValueError("inner_basis_iters must be >= 1")
         if self.rel_loss_tol < 0:
@@ -623,7 +622,7 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
 
     Runs up to `outer_iters` outer iterations, each consisting of the
     (H, Y) update (repeated `inner_basis_iters` times) followed by
-    `inner_mm_iters` angle steps, and stops early once the relative loss
+    five angle MM steps, and stops early once the relative loss
     decrease over an outer iteration falls below `rel_loss_tol`.  Both
     block updates are majorize-minimize steps, so the recorded loss trail
     never increases; an outer iteration whose block updates fail to
@@ -678,7 +677,7 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
             rank_collapsed |= not rank_ok
         proj = columns.project(np.concatenate([new_H, new_Y], axis=1))
         constants = columns.constants(proj)
-        new_theta = _AngleStepper(constants.r, constants.phi, work.times).run(point.theta, config.inner_mm_iters)
+        new_theta = _AngleStepper(constants.r, constants.phi, work.times).run(point.theta, _ANGLE_MM_STEPS)
         block = columns.evaluate(new_H, new_Y, new_theta, proj)
         previous = point.loss
         iters_run = n

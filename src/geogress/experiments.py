@@ -27,7 +27,7 @@ from .errors import InvalidSpec, RankTooLarge
 from .estimator import EndpointsInit, EstimatorConfig, RandomInit, fit
 from .landscape import loss_surface_2d, record_iterates, recenter_times
 from .metrics import geodesic_error
-from .piecewise import continuity_gap, fit_piecewise_schedule
+from .piecewise import check_lambda, continuity_gap, fit_piecewise_schedule
 from .synth import permute_times, planted_instance, planted_piecewise_instance
 
 EXPERIMENTS = (
@@ -108,6 +108,11 @@ class ExperimentSpec:
         for name in ("sigma", "theta_max", "lambdas"):
             if not all(_is_real(v) for v in getattr(self, name)):
                 raise InvalidSpec(f"grid {name} must hold real numbers, got {getattr(self, name)!r}")
+        try:
+            for lam in self.lambdas:
+                check_lambda(lam)
+        except ValueError as exc:
+            raise InvalidSpec(f"grid lambdas: {exc}") from None
         for name in ("trials", "base_seed", "omega_steps", "theta_steps"):
             if not _is_int(getattr(self, name)):
                 raise InvalidSpec(f"{name} must be an integer, got {getattr(self, name)!r}")

@@ -36,16 +36,18 @@ def gram_defect(basis: np.ndarray) -> float:
     return float(np.max(np.abs(g - np.eye(b.shape[1]))))
 
 
-def require_basis(basis: np.ndarray, what: str = "basis", tol: float = ORTHO_TOL) -> np.ndarray:
-    """Validate a d x r matrix with orthonormal columns and return it as float64."""
+def require_basis(basis: np.ndarray, what: str = "basis") -> np.ndarray:
+    """Validate a d x r matrix with orthonormal columns (to ORTHO_TOL) and return it as float64."""
     b = np.asarray(basis, dtype=float)
     if b.ndim != 2:
         raise DimensionMismatch(f"{what} must be a 2-D matrix, got ndim={b.ndim}")
     if b.shape[1] < 1 or b.shape[0] < b.shape[1]:
         raise DimensionMismatch(f"{what} must be tall with at least one column, got shape {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise NotOrthonormal(f"{what} has non-finite entries")
     defect = gram_defect(b)
-    if not defect <= tol:  # also catches NaN
-        raise NotOrthonormal(f"{what} columns are not orthonormal (defect {defect:.3e} > {tol:.1e})")
+    if not defect <= ORTHO_TOL:
+        raise NotOrthonormal(f"{what} columns are not orthonormal (defect {defect:.3e} > {ORTHO_TOL:.1e})")
     return b
 
 

@@ -41,13 +41,18 @@ def _checked_knots(knots) -> np.ndarray:
     return knots
 
 
+def check_lambda(lam) -> None:
+    """Raise ValueError unless the penalty weight is finite and >= 0 (NaN fails too)."""
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
+
+
 @dataclass(frozen=True)
 class PiecewiseModel:
     """J geodesic segments over strictly increasing knots spanning [0, 1]."""
 
     knots: np.ndarray
     segments: tuple[GeodesicModel, ...]
-    lam: float
 
     def __post_init__(self) -> None:
         knots = _checked_knots(self.knots)
@@ -59,13 +64,10 @@ class PiecewiseModel:
         for seg in self.segments:
             if (seg.d, seg.k) != (d, k):
                 raise DimensionMismatch("segments must share (d, k)")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
         knots = knots.copy()
         knots.flags.writeable = False
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "segments", tuple(self.segments))
-        object.__setattr__(self, "lam", float(self.lam))
 
     @property
     def n_segments(self) -> int:
@@ -183,9 +185,9 @@ def fit_piecewise(
     each segment on its data augmented with the neighbor pseudo-samples,
     starting from its current model, until the penalized objective stalls
     (same relative rule as the inner fits) or `max_sweeps` is reached.
+    Lambda must be finite and >= 0.
     """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    check_lambda(lam)
     knots = np.asarray(knots, dtype=float)
     segment_data = split_by_knots(dataset, knots)
     J = len(segment_data)
@@ -217,7 +219,7 @@ def fit_piecewise(
     trail = np.asarray(objectives)
     trail.flags.writeable = False
     return PiecewiseFitReport(
-        model=PiecewiseModel(knots, tuple(segments), lam),
+        model=PiecewiseModel(knots, tuple(segments)),
         objective_per_sweep=trail,
         sweeps_run=sweeps,
         converged=converged,
@@ -231,7 +233,10 @@ def fit_piecewise_schedule(
     config: EstimatorConfig,
     max_sweeps: int = 50,
 ) -> list[PiecewiseFitReport]:
-    """Continuation over a lambda schedule, each stage warm-started from the last."""
+    """Continuation over a lambda schedule, each stage warm-started from the last; every lambda is checked first."""
+    lams = list(lams)
+    for lam in lams:
+        check_lambda(lam)
     reports = []
     segments = None
     for lam in lams:

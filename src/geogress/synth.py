@@ -23,8 +23,6 @@ class PlantedInstance:
     dataset: Dataset
     truth: GeodesicModel
     clean: tuple[np.ndarray, ...]
-    sigma: float
-    seed: int
 
 
 def sample_times(T: int) -> np.ndarray:
@@ -69,13 +67,7 @@ def planted_instance(
     truth = random_geodesic(d, k, theta_max, rng)
     times = sample_times(T)
     noisy, clean = _sample(rng, (truth.evaluate(t) for t in times), ell, sigma)
-    return PlantedInstance(
-        dataset=Dataset(times, noisy),
-        truth=truth,
-        clean=clean,
-        sigma=float(sigma),
-        seed=int(seed),
-    )
+    return PlantedInstance(dataset=Dataset(times, noisy), truth=truth, clean=clean)
 
 
 def permute_times(dataset: Dataset, seed: int) -> Dataset:
@@ -85,25 +77,15 @@ def permute_times(dataset: Dataset, seed: int) -> Dataset:
     return Dataset(dataset.times, tuple(dataset.matrices[p] for p in perm))
 
 
-def planted_piecewise_instance(
-    d: int,
-    k: int,
-    ell: int,
-    T: int,
-    sigma: float,
-    theta_max: float,
-    seed: int,
-    knot: float = 0.5,
-):
-    """Two-segment continuous piecewise-geodesic instance.
+def planted_piecewise_instance(d: int, k: int, ell: int, T: int, sigma: float, theta_max: float, seed: int):
+    """Two-segment continuous piecewise-geodesic instance, knots (0, 0.5, 1).
 
     The first segment is a random geodesic; the second starts from the first
     segment's end span and heads toward an independent random span, so the
-    path is continuous at the knot.  Returns (dataset, (segment models),
-    knots, clean matrices).
+    path is continuous at the knot t = 0.5.  Returns (dataset, (segment
+    models), knots, clean matrices).
     """
-    if not 0.0 < knot < 1.0:
-        raise ValueError("knot must lie strictly inside (0, 1)")
+    knot = 0.5
     rng = np.random.default_rng(seed)
     first = random_geodesic(d, k, theta_max, rng)
     far = random_geodesic(d, k, theta_max, rng)

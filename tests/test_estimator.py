@@ -143,7 +143,7 @@ def oracle_fit(dataset, model, config):
             new_H, new_Y = q[:, :k], q[:, k:]
         constants = sample_angle_constants(dataset, new_H, new_Y)
         new_theta = theta
-        for _ in range(config.inner_mm_iters):
+        for _ in range(estimator._ANGLE_MM_STEPS):
             new_theta = angle_mm_step(constants, new_theta, dataset.times)
         current = sample_loss(dataset, GeodesicModel(new_H, new_Y, new_theta))
         previous = losses[-1]
@@ -790,8 +790,6 @@ class TestConfigValidation:
     def test_bounds(self):
         with pytest.raises(ValueError):
             EstimatorConfig(init=RandomInit(2), outer_iters=0)
-        with pytest.raises(ValueError):
-            EstimatorConfig(init=RandomInit(2), inner_mm_iters=0)
         with pytest.raises(ValueError):
             EstimatorConfig(init=RandomInit(2), inner_basis_iters=0)
         with pytest.raises(ValueError):

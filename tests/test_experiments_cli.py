@@ -2,6 +2,7 @@
 
 import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from geogress import (
 )
 from geogress.cli import build_parser, main
 from geogress.experiments import (
-    _INIT_SALT, LANDSCAPE_HEADER, PIECEWISE_HEADER, STANDARD_HEADER, _trial_config, estimator_config,
-    format_csv,
+    _ESTIMATOR_OPTIONS, _INIT_SALT, LANDSCAPE_HEADER, PIECEWISE_HEADER, STANDARD_HEADER, _trial_config,
+    estimator_config, format_csv,
 )
 from geogress.synth import planted_piecewise_instance
 
@@ -66,15 +67,15 @@ class TestEstimatorConfig:
         expected = EstimatorConfig(init=RandomInit(3, seed=7))
         assert estimator_config({}, 3, 7) == expected
         none = {key: None for key in ("init", "init_theta_max", "pool_fraction", "outer_iters",
-                                      "inner_mm_iters", "inner_basis_iters", "rel_loss_tol", "time_center")}
+                                      "inner_basis_iters", "rel_loss_tol", "time_center")}
         assert estimator_config(none, 3, 7) == expected
 
     def test_options_reach_their_fields(self):
         config = estimator_config(
-            {"init": "endpoints", "pool_fraction": 0.5, "outer_iters": 9, "inner_mm_iters": 2,
-             "inner_basis_iters": 3, "rel_loss_tol": 0.0, "time_center": 0.5, "unrelated": 1}, 2, 0)
+            {"init": "endpoints", "pool_fraction": 0.5, "outer_iters": 9, "inner_basis_iters": 3,
+             "rel_loss_tol": 0.0, "time_center": 0.5, "unrelated": 1}, 2, 0)
         assert (config.init.k, config.init.pool_fraction) == (2, 0.5)
-        assert (config.outer_iters, config.inner_mm_iters, config.inner_basis_iters) == (9, 2, 3)
+        assert (config.outer_iters, config.inner_basis_iters) == (9, 3)
         assert (config.rel_loss_tol, config.time_center) == (0.0, 0.5)
         assert estimator_config({"init_theta_max": 0.3}, 1, 4).init == RandomInit(1, theta_max=0.3, seed=4)
 
@@ -85,6 +86,14 @@ class TestEstimatorConfig:
         assert _trial_config(spec, (10, 2, 1, 4, 0.0, 1.0), 3).init == EndpointsInit(2, 0.5)
         fallback = _trial_config(spec, (10, 2, 1, 2, 0.0, 1.0), 3)
         assert fallback == EstimatorConfig(init=RandomInit(2, seed=3 ^ _INIT_SALT), outer_iters=7)
+
+    def test_config_surface_is_pinned(self):
+        # A new estimator setting must show up here, in review.
+        assert {f.name for f in fields(EstimatorConfig)} == {
+            "init", "outer_iters", "inner_basis_iters", "rel_loss_tol", "time_center"}
+        assert set(_ESTIMATOR_OPTIONS) == {
+            "init", "init_theta_max", "pool_fraction", "outer_iters", "inner_basis_iters", "rel_loss_tol",
+            "time_center"}
 
     def test_unknown_init_rejected(self):
         with pytest.raises(InvalidSpec):
@@ -372,6 +381,8 @@ class TestCli:
         {"sigma": [False]},
         {"theta_max": [None]},
         {"experiment": "PiecewiseDemo", "lambdas": ["x"]},
+        {"experiment": "PiecewiseDemo", "lambdas": [0, float("nan")]},
+        {"experiment": "PiecewiseDemo", "lambdas": [-1]},
         {"estimator": {"outer_iters": "3"}},
         {"estimator": {"inner_mm_iters": 2.0}},
         {"estimator": {"inner_basis_iters": True}},
@@ -382,8 +393,8 @@ class TestCli:
         {"estimator": {"init": 1}},
     ], ids=["unknown-estimator-key", "estimator-not-object", "trials-string", "base-seed-float", "d-float",
             "k-string", "ell-bool", "T-float", "omega-steps-float", "theta-steps-none", "true-k-float",
-            "true-k-bool", "sigma-string", "sigma-bool", "theta-max-null", "lambdas-string",
-            "outer-iters-string", "inner-mm-iters-float", "inner-basis-iters-bool", "rel-loss-tol-string",
+            "true-k-bool", "sigma-string", "sigma-bool", "theta-max-null", "lambdas-string", "lambdas-nan", "lambdas-negative",
+            "outer-iters-string", "inner-mm-iters-removed", "inner-basis-iters-bool", "rel-loss-tol-string",
             "pool-fraction-list", "init-theta-max-string", "time-center-string", "init-number"])
     def test_bad_experiment_config_exit_code(self, tmp_path, override):
         cfg = tmp_path / "exp.json"
@@ -454,7 +465,7 @@ class TestCli:
     def test_option_strings_are_pinned(self):
         # A new knob must show up here, in review.
         common = {"-h", "--help"}
-        estimator = {"--outer-iters", "--inner-mm-iters", "--inner-basis-iters", "--rel-loss-tol", "--time-center"}
+        estimator = {"--outer-iters", "--inner-basis-iters", "--rel-loss-tol", "--time-center"}
         init = {"--init", "--init-theta-max", "--pool-fraction", "--seed"}
         expected = {
             "fit": common | estimator | init | {"--data", "--k", "--out"},

@@ -49,7 +49,6 @@ class TestGeodesicModel:
         with pytest.raises(DimensionMismatch):
             GeodesicModel(np.eye(3)[:, :2], np.eye(3)[:, 1:], np.zeros(2))  # 2k > d
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("token", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("where, error", [("H", NotOrthonormal), ("Y", NotOrthonormal), ("theta", ValueError)])
     def test_non_finite_entries_rejected(self, where, error, token):

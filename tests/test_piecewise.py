@@ -85,7 +85,7 @@ class TestBadInput:
             split_by_knots(inst.dataset, np.array(knots))
         seg = random_geodesic(8, 2, 1.0, seed=2)
         with pytest.raises(error):
-            PiecewiseModel(np.array(knots), (seg,) * max(len(knots) - 1, 1), 1.0)
+            PiecewiseModel(np.array(knots), (seg,) * max(len(knots) - 1, 1))
         assert fits == []
 
     def test_bad_knots_exit_one_before_any_fit(self, fits, tmp_path):
@@ -97,11 +97,23 @@ class TestBadInput:
         assert fits == []
         assert not (tmp_path / "stages.csv").exists()
 
-    def test_negative_lambda_rejected(self, fits):
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_bad_lambda_rejected(self, fits, lam):
         inst = planted_instance(8, 2, 1, 9, 0.1, 1.0, seed=1)
         with pytest.raises(ValueError, match="lambda"):
-            fit_piecewise(inst.dataset, KNOTS, -1.0, config(outer=5))
+            fit_piecewise(inst.dataset, KNOTS, lam, config(outer=5))
+        with pytest.raises(ValueError, match="lambda"):
+            fit_piecewise_schedule(inst.dataset, KNOTS, [0.0, lam], config(outer=5))
         assert fits == []
+
+    def test_bad_lambda_exits_one_before_any_fit(self, fits, tmp_path):
+        data = tmp_path / "data.txt"
+        assert main(["synth", "--d", "8", "--k", "2", "--T", "9", "--sigma", "0.1", "--seed", "1",
+                     "--out", str(data)]) == 0
+        assert main(["piecewise", "--data", str(data), "--knots", "0,0.5,1", "--k", "2", "--lambdas", "0,nan",
+                     "--out", str(tmp_path / "stages.csv")]) == 1
+        assert fits == []
+        assert not (tmp_path / "stages.csv").exists()
 
     def test_initial_segment_count_checked(self, fits):
         inst = planted_instance(8, 2, 1, 9, 0.1, 1.0, seed=1)
@@ -134,19 +146,19 @@ class TestLambdaZero:
 class TestContinuityGap:
     def test_identical_static_segments_have_zero_gap(self):
         u = random_geodesic(8, 2, 0.0, seed=4)
-        pw = PiecewiseModel(KNOTS, (u, u), 0.0)
+        pw = PiecewiseModel(KNOTS, (u, u))
         np.testing.assert_allclose(continuity_gap(pw), [0.0], atol=1e-12)
 
     def test_orthogonal_endpoints_have_gap_one(self):
         a = static_as_geodesic(np.eye(8)[:, :2])
         b = static_as_geodesic(np.eye(8)[:, 2:4])
-        pw = PiecewiseModel(KNOTS, (a, b), 0.0)
+        pw = PiecewiseModel(KNOTS, (a, b))
         assert continuity_gap(pw)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_subspace_error_oracle(self):
         a = random_geodesic(9, 2, 1.2, seed=5)
         b = random_geodesic(9, 2, 1.2, seed=6)
-        pw = PiecewiseModel(KNOTS, (a, b), 0.0)
+        pw = PiecewiseModel(KNOTS, (a, b))
         expected = subspace_error(a.evaluate(1.0), b.evaluate(0.0))
         assert continuity_gap(pw)[0] == pytest.approx(expected, abs=1e-12)
 
@@ -174,7 +186,7 @@ class TestLossPerTimepoint:
 
     def test_works_on_piecewise_models(self):
         data, truths, knots, _ = planted_piecewise_instance(10, 2, 1, 9, 0.0, 1.2, seed=11)
-        pw = PiecewiseModel(knots, truths, 0.0)
+        pw = PiecewiseModel(knots, truths)
         per = loss_per_timepoint(data, pw)
         scale = sum(np.sum(x * x) for x in data.matrices)
         assert np.all(per <= 1e-16 * scale)
