@@ -29,14 +29,14 @@ positive ones through the identity f(x; t, phi) = f(x; -t, -phi).
 3. Near the parameter-counting edge N = 2k (N data columns in all), the two
    blocks are strongly coupled and block descent crawls along an
    ill-conditioned valley.  For data with N <= 8k columns (and k <= 22)
-   each outer iteration whose block updates removed less than half of the
-   loss therefore also tries one Levenberg-Marquardt step on the stacked
-   residual, in a chart of the rotations within span [H Y] and the angles:
-   2k^2 unknowns, retracted by a 2k x 2k polar factor (Edelman, Arias &
-   Smith 1998; Absil, Mahony & Sepulchre 2008).  Moving the span itself is
-   left to step 1, which runs just before.  The step is kept only when its
-   loss is not above the block iterate's, so the loss still never
-   increases; everywhere else the iterates are those of steps 1-2.
+   each outer iteration therefore also tries one Levenberg-Marquardt step
+   on the stacked residual, in a chart of the rotations within span [H Y]
+   and the angles: 2k^2 unknowns, retracted by a 2k x 2k polar factor
+   (Edelman, Arias & Smith 1998; Absil, Mahony & Sepulchre 2008).  Moving
+   the span itself is left to step 1, which runs just before.  The step is
+   kept only when its loss is not above the block iterate's, so the loss
+   still never increases; everywhere else the iterates are those of steps
+   1-2.
    Block descent also crawls past 8k columns at low noise; the bound is
    where the fits the acceptance criteria were set on begin (see
    `_EDGE_COLUMNS_PER_RANK`), not where the step stops helping.
@@ -122,8 +122,8 @@ class EstimatorConfig:
             raise ValueError("outer_iters must be >= 1")
         if self.inner_basis_iters < 1:
             raise ValueError("inner_basis_iters must be >= 1")
-        if self.rel_loss_tol < 0:
-            raise ValueError("rel_loss_tol must be >= 0")
+        if not 0.0 <= self.rel_loss_tol < np.inf:
+            raise ValueError(f"rel_loss_tol must be finite and >= 0, got {self.rel_loss_tol}")
         if isinstance(self.init, EndpointsInit) and not 0.0 < self.init.pool_fraction <= 0.5:
             raise ValueError("pool_fraction must lie in (0, 0.5]")
         if self.time_center is not None and not 0.0 <= self.time_center <= 1.0:
@@ -385,7 +385,7 @@ def curvature_weight(theta: float, t: float, r: float, phi: float) -> float:
     a = 2 t theta - phi wrapped to [-pi, pi]; at the axis itself the limit
     4 t^2 r is returned.  Non-negative and finite for t > 0, r >= 0.
     """
-    if t <= 0:
+    if not t > 0:
         raise NonpositiveTime(f"curvature weight requires t > 0, got t={t}")
     stepper = _AngleStepper(np.full((1, 1), float(r)), np.full((1, 1), float(phi)), np.array([float(t)]))
     _, weight = stepper.slopes(np.array([float(theta)]))
@@ -474,15 +474,6 @@ _MAX_STEP_UNKNOWNS = 1024
 _DAMPING_START = 1e-4
 _DAMPING_MIN = 1e-12
 _DAMPING_MAX = 1e4
-# Consecutive rejections double the outer iterations skipped before the
-# next attempt, up to this many.
-_MAX_BACKOFF = 64
-# Block descent that removes at least this share of the loss in an outer
-# iteration is not stalling, and the step's dense solve is not tried after
-# it.  These are mostly the first iterations from a far start; at
-# (d, k, N) = (40, 8, 32) skipping them halves the time the step adds to a
-# 5-iteration fit (about 10 -> 5 ms on one core).
-_STALL_SHARE = 0.5
 
 
 def _near_edge(k: int, n_columns: int) -> bool:
@@ -533,13 +524,6 @@ class _EdgeChart:
         self.jac_u[:, row_b, pair] -= (cs[ib] * r[ia]).T
         self.jac_u[:, idx, ia.size + idx] = -tau[:, None] * e.T
 
-    def directional(self, step: np.ndarray) -> np.ndarray:
-        """Jacobian times `step`, as a d x N matrix of residual changes."""
-        p = self.point
-        along_rest, along_u = (self.jac_n @ step).T, (self.jac_u @ step).T
-        in_q = np.concatenate([p.cos * along_u - p.sin * along_rest, p.sin * along_u + p.cos * along_rest])
-        return p.Q @ in_q
-
     def normal_equations(self):
         """Gauss-Newton matrix J^T J and gradient J^T r of the stacked residual.
 
@@ -562,36 +546,27 @@ class _EdgeChart:
 
 
 class _EdgeStep:
-    """Safeguarded Levenberg-Marquardt step tried after a stalling block iteration.
+    """Safeguarded Levenberg-Marquardt step tried after every block iteration.
 
-    The step is tried only when the block updates removed less than half of
-    the loss, and kept only when its loss is not above the block iterate's,
-    so the loss trail stays monotone.  The damping follows the gain ratio of
-    kept steps (Nielsen's rule); a rejected step raises it and skips the
-    next attempts, doubling the wait on each consecutive rejection, so a fit
-    the step cannot help pays little for it.
+    The step is kept only when its loss is not above the block iterate's,
+    so the loss trail stays monotone.  The damping and its raise factor
+    (Nielsen's mu and nu) are all the state carried from one attempt to
+    the next; Nielsen's rule updates them after every attempt.
     """
 
     def __init__(self, columns: _Columns):
         self.columns = columns
         self.damping = _DAMPING_START
         self.raise_by = 2.0
-        self.wait = 0
-        self.backoff = 1
 
-    def improve(self, block: _Point, previous: float) -> _Point | None:
+    def improve(self, block: _Point) -> _Point | None:
         """The evaluated point of a kept step from `block`, or None.
 
         `block` is the block iterate as `_Columns.evaluate` returned it, with
-        its loss, and `previous` the loss before the block updates.  The
-        trial point is evaluated by the same `columns.evaluate`, so the trail
-        holds one loss formula and the loop goes on from the kept record.
+        its loss.  The trial point is evaluated by the same `columns.evaluate`,
+        so the trail holds one loss formula and the loop goes on from the
+        kept record.
         """
-        if previous - block.loss >= _STALL_SHARE * previous:
-            return None
-        if self.wait > 0:
-            self.wait -= 1
-            return None
         chart = _EdgeChart(block, self.columns.tau)
         gram, grad = chart.normal_equations()
         shift = self.damping * max(float(np.max(np.diag(gram))), _TINY)
@@ -608,12 +583,9 @@ class _EdgeStep:
                 gain = (block.loss - trial.loss) / predicted if predicted > 0 else 0.0
                 self.damping = max(self.damping * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), _DAMPING_MIN)
                 self.raise_by = 2.0
-                self.backoff = 1
                 return trial
         self.damping = min(self.damping * self.raise_by, _DAMPING_MAX)
         self.raise_by *= 2.0
-        self.wait = self.backoff
-        self.backoff = min(2 * self.backoff, _MAX_BACKOFF)
         return None
 
 
@@ -637,13 +609,12 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
     through RankCollapseWarning.
 
     For data near the edge N = 2k (at most 8k columns in all, and k <= 22)
-    each outer iteration whose block updates removed less than half of the
-    loss then tries a damped Gauss-Newton step from the block iterate, in
-    the rotations within span [H Y] and the angles, and keeps it only if
-    its loss is not above the block iterate's.  A rejected step, or a solve
-    that fails, leaves the block iterate in place and the fit goes on;
-    repeated rejections space out further attempts.  Other fits never take
-    the step, so their iterates are those of the two block updates alone.
+    each outer iteration then tries a damped Gauss-Newton step from the
+    block iterate, in the rotations within span [H Y] and the angles, and
+    keeps it only if its loss is not above the block iterate's.  A rejected
+    step, or a solve that fails, raises the damping, leaves the block
+    iterate in place and the fit goes on.  Other fits never take the step,
+    so their iterates are those of the two block updates alone.
 
     When `time_center` is set, fitting happens on the shifted axis
     t - t_center and the returned model is re-expressed on the original
@@ -685,7 +656,7 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
             # Numerical non-descent: keep the previous iterate.
             stop_reason = "non_descent"
             break
-        better = edge.improve(block, previous) if edge is not None else None
+        better = edge.improve(block) if edge is not None else None
         point = block if better is None else better
         losses.append(point.loss)
         if callback is not None:

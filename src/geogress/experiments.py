@@ -220,6 +220,9 @@ def landscape_rows(data: Dataset, omega_steps: int, theta_steps: int, time_cente
     recentred data (so without the config's own time_center), giving one
     iterate row per accepted outer iteration.
     """
+    for name, steps in (("omega_steps", omega_steps), ("theta_steps", theta_steps)):
+        if not steps >= 1:
+            raise ValueError(f"{name} must be >= 1, got {steps}")
     if time_center:
         data = recenter_times(data, time_center)
     omega_grid = np.linspace(-np.pi / 2, np.pi / 2, omega_steps)

@@ -32,6 +32,18 @@ def sample_times(T: int) -> np.ndarray:
     return np.arange(T) / (T - 1)
 
 
+def _check_settings(d: int, k: int, ell: int, T: int, sigma: float) -> None:
+    """Reject settings no planted instance has; written so that NaN fails each check."""
+    if not 2 * k <= d:
+        raise DimensionMismatch(f"need 2k <= d, got k={k}, d={d}")
+    if not T >= 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    if not ell >= 1:
+        raise ValueError(f"ell must be >= 1, got {ell}")
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+
+
 def _sample(rng: np.random.Generator, bases, ell: int, sigma: float):
     """Noisy and clean matrices U_i G_i (+ sigma N_i), one per d x k basis U_i.
 
@@ -57,12 +69,7 @@ def planted_instance(
     The noise stream is drawn (and scaled by sigma) even when sigma = 0,
     so instances with the same seed share loadings across noise levels.
     """
-    if 2 * k > d:
-        raise DimensionMismatch(f"need 2k <= d, got k={k}, d={d}")
-    if T < 1 or ell < 1:
-        raise ValueError("need T >= 1 and ell >= 1")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    _check_settings(d, k, ell, T, sigma)
     rng = np.random.default_rng(seed)
     truth = random_geodesic(d, k, theta_max, rng)
     times = sample_times(T)
@@ -85,6 +92,7 @@ def planted_piecewise_instance(d: int, k: int, ell: int, T: int, sigma: float, t
     path is continuous at the knot t = 0.5.  Returns (dataset, (segment
     models), knots, clean matrices).
     """
+    _check_settings(d, k, ell, T, sigma)
     knot = 0.5
     rng = np.random.default_rng(seed)
     first = random_geodesic(d, k, theta_max, rng)

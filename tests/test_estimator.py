@@ -124,6 +124,14 @@ def reference_mm_steps(r, phi, times, theta, steps):
     return theta
 
 
+def reference_directional(chart, step):
+    """The chart's Jacobian times `step`, as a d x N matrix of residual changes."""
+    p = chart.point
+    along_rest, along_u = (chart.jac_n @ step).T, (chart.jac_u @ step).T
+    in_q = np.concatenate([p.cos * along_u - p.sin * along_rest, p.sin * along_u + p.cos * along_rest])
+    return p.Q @ in_q
+
+
 def oracle_fit(dataset, model, config):
     """`fit`'s outer loop built from the per-sample references; returns (trail, iterations run).
 
@@ -150,7 +158,7 @@ def oracle_fit(dataset, model, config):
         if current > previous:
             return losses, n
         if edge is not None:
-            better = edge.improve(columns.evaluate(new_H, new_Y, new_theta), previous)
+            better = edge.improve(columns.evaluate(new_H, new_Y, new_theta))
             if better is not None:
                 new_H, new_Y, new_theta = better.H, better.Y, better.theta
                 current = sample_loss(dataset, GeodesicModel(new_H, new_Y, new_theta))
@@ -222,7 +230,7 @@ class TestResidualWorkspace:
         edge = estimator._EdgeStep(columns)
         m = random_geodesic(12, 2, 1.0, seed=74)
         block = columns.evaluate(m.H, m.Y, m.theta)
-        better = edge.improve(block, block.loss)
+        better = edge.improve(block)
         assert better is not None
         kept = better.weighted.copy()
         block_again = columns.evaluate(m.H, m.Y, m.theta)
@@ -339,6 +347,8 @@ class TestCurvatureWeight:
             curvature_weight(0.1, 0.0, 1.0, 0.0)
         with pytest.raises(NonpositiveTime):
             curvature_weight(0.1, -0.5, 1.0, 0.0)
+        with pytest.raises(NonpositiveTime):
+            curvature_weight(0.3, float("nan"), 1.0, 0.2)
 
     def test_nonnegative_and_finite(self):
         rng = np.random.default_rng(16)
@@ -646,7 +656,7 @@ class TestGaussNewtonStep:
 
         h = 1e-6
         fd = (residual(h) - residual(-h)) / (2 * h)
-        jv = chart.directional(step)
+        jv = reference_directional(chart, step)
         assert np.max(np.abs(fd - jv)) <= 1e-7 * np.max(np.abs(jv))
         # the normal equations are those of the same Jacobian
         gram, grad = chart.normal_equations()
@@ -677,11 +687,12 @@ class TestGaussNewtonStep:
         assert np.median(errors[True]) <= 1e-3
         assert np.median(errors[False]) > 1e-2
 
-    def test_not_tried_while_block_descent_halves_the_loss(self):
+    def test_one_attempt_evaluates_one_trial_point(self):
         inst = planted_instance(12, 2, 1, 4, 1e-2, 1.2, seed=65)
         m = random_geodesic(12, 2, 1.0, seed=66)
         columns = estimator._Columns(inst.dataset)
         step = estimator._EdgeStep(columns)
+        assert step.damping == estimator._DAMPING_START
         calls = []
         evaluate = columns.evaluate
 
@@ -692,10 +703,30 @@ class TestGaussNewtonStep:
         columns.evaluate = counting
         block = evaluate(m.H, m.Y, m.theta)
         assert block.loss == loss(inst.dataset, m)
-        assert step.improve(block, 2.0 * block.loss) is None
-        assert calls == [] and step.wait == 0 and step.damping == estimator._DAMPING_START
-        step.improve(block, 1.5 * block.loss)
+        step.improve(block)
         assert len(calls) == 1
+
+    def test_tried_even_when_block_descent_halves_the_loss(self):
+        # The first outer iteration from a random start removes over half
+        # of the loss; the step is tried after it all the same.
+        inst = planted_instance(12, 2, 1, 4, 1e-2, 1.2, seed=65)
+        cfg = EstimatorConfig(init=RandomInit(2, seed=66), outer_iters=1)
+        assert estimator._near_edge(2, inst.dataset.total_columns)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_EDGE_COLUMNS_PER_RANK", 0)
+            trail = fit(inst.dataset, cfg).loss_per_outer_iter
+        assert trail[1] <= 0.5 * trail[0]
+        charts = []
+
+        class CountingChart(estimator._EdgeChart):
+            def __init__(self, *args):
+                charts.append(args)
+                super().__init__(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_EdgeChart", CountingChart)
+            fit(inst.dataset, cfg)
+        assert len(charts) == 1
 
     def test_rejected_step_falls_back_to_block_iterate(self):
         # Every attempt is rejected: the fit keeps the block iterates and
@@ -712,7 +743,7 @@ class TestGaussNewtonStep:
             attempts = []
             improve = estimator._EdgeStep.improve
 
-            def rejecting(self, block, previous):
+            def rejecting(self, block):
                 # The trial's evaluation reports an infinite loss.
                 columns = self.columns
                 evaluate = columns.evaluate
@@ -725,15 +756,15 @@ class TestGaussNewtonStep:
 
                 columns.evaluate = worse
                 try:
-                    return improve(self, block, previous)
+                    return improve(self, block)
                 finally:
                     del columns.evaluate
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(estimator._EdgeStep, "improve", rejecting)
                 rejected = fit(data, cfg)
-            assert len(attempts) > 1
-            assert rejected.outer_iters_run == block_only.outer_iters_run == 40
+            # No attempt is skipped after a rejection: one per outer iteration.
+            assert len(attempts) == rejected.outer_iters_run == block_only.outer_iters_run == 40
             assert not rejected.converged
             np.testing.assert_array_equal(rejected.loss_per_outer_iter, block_only.loss_per_outer_iter)
             np.testing.assert_array_equal(rejected.model.H, block_only.model.H)
@@ -755,8 +786,7 @@ class TestGaussNewtonStep:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "solve", failing)
             failed = fit(inst.dataset, cfg)
-        assert len(solves) > 1
-        assert failed.outer_iters_run == block_only.outer_iters_run == 40
+        assert len(solves) == failed.outer_iters_run == block_only.outer_iters_run == 40
         np.testing.assert_array_equal(failed.loss_per_outer_iter, block_only.loss_per_outer_iter)
         np.testing.assert_array_equal(failed.model.H, block_only.model.H)
         np.testing.assert_array_equal(failed.model.Y, block_only.model.Y)
@@ -792,8 +822,9 @@ class TestConfigValidation:
             EstimatorConfig(init=RandomInit(2), outer_iters=0)
         with pytest.raises(ValueError):
             EstimatorConfig(init=RandomInit(2), inner_basis_iters=0)
-        with pytest.raises(ValueError):
-            EstimatorConfig(init=RandomInit(2), rel_loss_tol=-1.0)
+        for tol in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rel_loss_tol"):
+                EstimatorConfig(init=RandomInit(2), rel_loss_tol=tol)
         with pytest.raises(ValueError):
             EstimatorConfig(init=EndpointsInit(2, pool_fraction=0.75))
         with pytest.raises(ValueError):

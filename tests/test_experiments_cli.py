@@ -11,6 +11,7 @@ from geogress import (
     EndpointsInit, EstimatorConfig, ExperimentSpec, InvalidSpec, RandomInit, load_dataset, load_model, planted_instance,
     run_experiment, save_dataset,
 )
+from geogress import estimator
 from geogress.cli import build_parser, main
 from geogress.experiments import (
     _ESTIMATOR_OPTIONS, _INIT_SALT, LANDSCAPE_HEADER, PIECEWISE_HEADER, STANDARD_HEADER, _trial_config,
@@ -230,6 +231,16 @@ class TestRunExperiment:
         assert kinds.count("surface") == 35
         assert kinds.count("iterate") >= 1
 
+    @pytest.mark.parametrize("name", ["omega_steps", "theta_steps"])
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_landscape_grid_sizes_rejected(self, name, steps):
+        spec = ExperimentSpec(
+            experiment="Landscape2D", d=(2,), k=(1,), ell=(1,), T=(7,), sigma=(1e-2,), theta_max=(1.0,),
+            trials=1, base_seed=5, estimator={"outer_iters": 5}, **{name: steps},
+        )
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            run_experiment(spec)
+
     def test_piecewise_demo_rows(self):
         spec = ExperimentSpec(
             experiment="PiecewiseDemo",
@@ -346,6 +357,46 @@ class TestCli:
         assert surface.read_text().splitlines()[0] == "omega,theta,loss"
         assert len(surface.read_text().splitlines()) == 26
         assert iterates.read_text().splitlines()[0] == "step,omega,theta,loss"
+
+    @pytest.mark.parametrize("flag, steps, name", [
+        ("--omega-steps", "0", "omega_steps"), ("--omega-steps", "-1", "omega_steps"), ("--theta-steps", "0", "theta_steps"),
+    ])
+    def test_landscape_grid_sizes_rejected(self, tmp_path, capsys, flag, steps, name):
+        data = tmp_path / "plane.txt"
+        surface = tmp_path / "surface.csv"
+        save_dataset(planted_instance(2, 1, 1, 9, 0.05, 1.0, 3).dataset, data)
+        assert main(["landscape", "--data", str(data), flag, steps, "--out", str(surface)]) == 1
+        assert f"{name} must be >= 1" in capsys.readouterr().err
+        assert not surface.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_fit_rejects_bad_tolerance(self, tmp_path, capsys, tol):
+        data = tmp_path / "data.txt"
+        save_dataset(planted_instance(10, 2, 1, 12, 0.01, 1.2, 4).dataset, data)
+        assert main(["fit", "--data", str(data), "--k", "2", "--rel-loss-tol", tol]) == 1
+        assert "rel_loss_tol must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, name", [
+        ({"estimator": {"rel_loss_tol": float("nan")}}, "rel_loss_tol"),
+        ({"estimator": {"rel_loss_tol": float("inf")}}, "rel_loss_tol"),
+        ({"sigma": [float("nan")]}, "sigma"),
+        ({"sigma": [float("inf")]}, "sigma"),
+        ({"experiment": "PiecewiseDemo", "sigma": [-1]}, "sigma"),
+    ], ids=["rel-loss-tol-nan", "rel-loss-tol-inf", "sigma-nan", "sigma-inf", "piecewise-sigma-negative"])
+    def test_bad_setting_named_before_any_fit(self, tmp_path, capsys, override, name):
+        cfg = tmp_path / "exp.json"
+        payload = {"experiment": "Convergence", "d": [10], "k": [2], "T": [10], "trials": 1,
+                   "estimator": {"outer_iters": 5}, "out": str(tmp_path / "result.csv")}
+        cfg.write_text(json.dumps({**payload, **override}))
+
+        def no_fit(*args):
+            raise AssertionError("a fit ran")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_initial_model", no_fit)
+            assert main(["experiment", "--config", str(cfg)]) == 1
+        assert f"{name} must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "result.csv").exists()
 
     def test_piecewise_command(self, tmp_path):
         data = tmp_path / "data.txt"

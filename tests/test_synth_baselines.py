@@ -68,6 +68,8 @@ class TestPlantedInstance:
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionMismatch):
             planted_instance(5, 3, 1, 4, 0.0, 1.0, seed=9)
+        with pytest.raises(DimensionMismatch):
+            planted_piecewise_instance(5, 3, 1, 4, 0.0, 1.0, seed=9)
 
 
 class TestPermuteTimes:
@@ -96,13 +98,24 @@ class TestPermuteTimes:
         assert permuted > ordered
 
 
-@pytest.mark.parametrize("make", [
-    lambda: planted_instance(8, 2, 1, 0, 0.1, 1.0, seed=1),
-    lambda: planted_instance(8, 2, 1, 5, -0.1, 1.0, seed=1),
-], ids=["T-below-one", "negative-sigma"])
-def test_invalid_generator_arguments_rejected(make):
-    with pytest.raises(ValueError):
-        make()
+_BAD_SETTINGS = {
+    "T-below-one": ("T", {"T": 0}),
+    "ell-below-one": ("ell", {"ell": 0}),
+    "negative-sigma": ("sigma", {"sigma": -1.0}),
+    "nan-sigma": ("sigma", {"sigma": float("nan")}),
+    "inf-sigma": ("sigma", {"sigma": float("inf")}),
+}
+
+
+@pytest.mark.parametrize("make, name, bad", [
+    pytest.param(make, name, bad, id=prefix + case)
+    for prefix, make in (("", planted_instance), ("piecewise-", planted_piecewise_instance))
+    for case, (name, bad) in _BAD_SETTINGS.items()
+])
+def test_invalid_generator_arguments_rejected(make, name, bad):
+    settings = {"d": 8, "k": 2, "ell": 1, "T": 5, "sigma": 0.1, "theta_max": 1.0, "seed": 1, **bad}
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        make(**settings)
 
 
 class TestPiecewiseInstance:
