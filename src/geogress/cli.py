@@ -9,13 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import GeogressError, InvalidSpec, IoFailure
-from .estimator import EstimatorConfig, fit
+from .estimator import fit
 from .experiments import (
     LANDSCAPE_COLUMNS, PIECEWISE_COLUMNS, ExperimentSpec, estimator_config, format_csv, landscape_rows,
     piecewise_rows, run_experiment,
@@ -47,12 +47,8 @@ def _add_init_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random init seed")
 
 
-def _estimator_config(args, k: int) -> EstimatorConfig:
-    return estimator_config(vars(args), k, args.seed)
-
-
 def _cmd_fit(args) -> int:
-    report = fit(load_dataset(args.data), _estimator_config(args, args.k))
+    report = fit(load_dataset(args.data), estimator_config(vars(args), args.k, args.seed))
     if args.out:
         save_model(report.model, args.out)
     print(f"final_loss={float(report.loss_per_outer_iter[-1])!r}")
@@ -84,14 +80,8 @@ def _cmd_experiment(args) -> int:
             raise InvalidSpec(f"{args.config} is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise InvalidSpec("experiment config must be a JSON object")
-    for name, value in (
-        ("experiment", args.experiment), ("d", args.d), ("k", args.k), ("ell", args.ell),
-        ("T", args.T), ("sigma", args.sigma), ("theta_max", args.theta_max),
-        ("trials", args.trials), ("base_seed", args.seed), ("out", args.out),
-        ("true_k", args.true_k), ("lambdas", args.lambdas),
-    ):
-        if value is not None:
-            payload[name] = value
+    flags = vars(args)
+    payload.update({f.name: flags[f.name] for f in fields(ExperimentSpec) if flags.get(f.name) is not None})
     if "out" not in payload or payload["out"] is None:
         raise InvalidSpec("an output path is required (--out or config key 'out')")
     spec = ExperimentSpec.from_dict(payload)
@@ -104,7 +94,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_landscape(args) -> int:
     dataset = load_dataset(args.data)
-    config = _estimator_config(args, 1) if args.iterates_out else None
+    config = estimator_config(vars(args), 1, args.seed) if args.iterates_out else None
     surface, iterates = landscape_rows(dataset, args.omega_steps, args.theta_steps, args.time_center, config)
     write_text(args.out, format_csv(LANDSCAPE_COLUMNS[1:], (row[1:] for row in surface)))
     if args.iterates_out:
@@ -116,7 +106,7 @@ def _cmd_landscape(args) -> int:
 def _cmd_piecewise(args) -> int:
     dataset = load_dataset(args.data)
     knots = np.asarray(_float_list(args.knots))
-    rows, reports = piecewise_rows(dataset, knots, args.lambdas, _estimator_config(args, args.k))
+    rows, reports = piecewise_rows(dataset, knots, args.lambdas, estimator_config(vars(args), args.k, args.seed))
     write_text(args.out, format_csv(PIECEWISE_COLUMNS, rows))
     if args.models_out:
         for j, seg in enumerate(reports[-1].model.segments):
@@ -160,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--sigma", type=_float_list, default=None)
     p_exp.add_argument("--theta-max", type=_float_list, default=None)
     p_exp.add_argument("--trials", type=int, default=None)
-    p_exp.add_argument("--seed", type=int, default=None, help="base seed")
+    p_exp.add_argument("--seed", type=int, default=None, dest="base_seed", help="base seed")
     p_exp.add_argument("--true-k", type=int, default=None)
     p_exp.add_argument("--lambdas", type=_float_list, default=None)
     p_exp.add_argument("--init", choices=["random", "endpoints"], default=None)
@@ -201,10 +191,7 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
     try:
         return args.func(args)
-    except IoFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (IoFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GeogressError, ValueError) as exc:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range check of numeric settings."""
+
+import math
 
 
 class GeogressError(Exception):
@@ -51,3 +53,13 @@ class RankCollapseWarning(UserWarning):
     The update is still valid (the orthogonal polar factor remains a Stiefel
     point), but some columns are no longer pinned down by the data.
     """
+
+
+def check_setting(name: str, value, low, high=math.inf) -> None:
+    """Raise ValueError naming the setting unless `value` is finite and low <= value <= high.
+
+    NaN and +-inf fail whatever the bounds.
+    """
+    if not (low <= value <= high and -math.inf < value < math.inf):
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be finite and {bounds}, got {value}")

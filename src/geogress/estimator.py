@@ -60,7 +60,7 @@ from math import ceil
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DimensionMismatch, InitFailure, NonpositiveTime, RankCollapseWarning
+from .errors import DimensionMismatch, InitFailure, NonpositiveTime, RankCollapseWarning, check_setting
 from .geodesic import GeodesicModel, connect, principal_basis, random_geodesic
 
 _TINY = np.finfo(float).tiny
@@ -81,6 +81,12 @@ class RandomInit:
     theta_max: float = np.pi / 4
     seed: int | None = None
 
+    def __post_init__(self) -> None:
+        check_setting("k", self.k, 1)
+        check_setting("theta_max", self.theta_max, 0, np.pi / 2)
+        if self.seed is not None:
+            check_setting("seed", self.seed, 0)
+
 
 @dataclass(frozen=True)
 class EndpointsInit:
@@ -88,6 +94,11 @@ class EndpointsInit:
 
     k: int
     pool_fraction: float = 0.25
+
+    def __post_init__(self) -> None:
+        check_setting("k", self.k, 1)
+        if not 0.0 < self.pool_fraction <= 0.5:
+            raise ValueError("pool_fraction must lie in (0, 0.5]")
 
 
 @dataclass(frozen=True)
@@ -118,16 +129,11 @@ class EstimatorConfig:
     time_center: float | None = None
 
     def __post_init__(self) -> None:
-        if self.outer_iters < 1:
-            raise ValueError("outer_iters must be >= 1")
-        if self.inner_basis_iters < 1:
-            raise ValueError("inner_basis_iters must be >= 1")
-        if not 0.0 <= self.rel_loss_tol < np.inf:
-            raise ValueError(f"rel_loss_tol must be finite and >= 0, got {self.rel_loss_tol}")
-        if isinstance(self.init, EndpointsInit) and not 0.0 < self.init.pool_fraction <= 0.5:
-            raise ValueError("pool_fraction must lie in (0, 0.5]")
-        if self.time_center is not None and not 0.0 <= self.time_center <= 1.0:
-            raise ValueError("time_center must lie in [0, 1]")
+        check_setting("outer_iters", self.outer_iters, 1)
+        check_setting("inner_basis_iters", self.inner_basis_iters, 1)
+        check_setting("rel_loss_tol", self.rel_loss_tol, 0)
+        if self.time_center is not None:
+            check_setting("time_center", self.time_center, 0, 1)
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,11 @@ import numpy as np
 
 from .baselines import batch_svd_subspace
 from .dataset import Dataset
-from .errors import InvalidSpec, RankTooLarge
+from .errors import InvalidSpec, RankTooLarge, check_setting
 from .estimator import EndpointsInit, EstimatorConfig, RandomInit, fit
 from .landscape import loss_surface_2d, record_iterates, recenter_times
 from .metrics import geodesic_error
-from .piecewise import check_lambda, continuity_gap, fit_piecewise_schedule
+from .piecewise import continuity_gap, fit_piecewise_schedule
 from .synth import permute_times, planted_instance, planted_piecewise_instance
 
 EXPERIMENTS = (
@@ -108,14 +108,15 @@ class ExperimentSpec:
         for name in ("sigma", "theta_max", "lambdas"):
             if not all(_is_real(v) for v in getattr(self, name)):
                 raise InvalidSpec(f"grid {name} must hold real numbers, got {getattr(self, name)!r}")
-        try:
-            for lam in self.lambdas:
-                check_lambda(lam)
-        except ValueError as exc:
-            raise InvalidSpec(f"grid lambdas: {exc}") from None
         for name in ("trials", "base_seed", "omega_steps", "theta_steps"):
             if not _is_int(getattr(self, name)):
                 raise InvalidSpec(f"{name} must be an integer, got {getattr(self, name)!r}")
+        try:
+            check_setting("base_seed", self.base_seed, 0)
+            for lam in self.lambdas:
+                check_setting("lambdas", lam, 0)
+        except ValueError as exc:
+            raise InvalidSpec(str(exc)) from None
         if self.true_k is not None and not _is_int(self.true_k):
             raise InvalidSpec(f"true_k must be an integer or null, got {self.true_k!r}")
         if not isinstance(self.estimator, dict) or not set(self.estimator) <= set(_ESTIMATOR_OPTIONS):
@@ -220,9 +221,8 @@ def landscape_rows(data: Dataset, omega_steps: int, theta_steps: int, time_cente
     recentred data (so without the config's own time_center), giving one
     iterate row per accepted outer iteration.
     """
-    for name, steps in (("omega_steps", omega_steps), ("theta_steps", theta_steps)):
-        if not steps >= 1:
-            raise ValueError(f"{name} must be >= 1, got {steps}")
+    check_setting("omega_steps", omega_steps, 1)
+    check_setting("theta_steps", theta_steps, 1)
     if time_center:
         data = recenter_times(data, time_center)
     omega_grid = np.linspace(-np.pi / 2, np.pi / 2, omega_steps)

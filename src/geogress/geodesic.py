@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotOrthonormal, NotTangent
+from .errors import DimensionMismatch, NotOrthonormal, NotTangent, check_setting
 
 # Construction-time validation tolerance; internal assertions use 1e-10.
 ORTHO_TOL = 1e-8
@@ -231,8 +231,7 @@ def random_geodesic(d: int, k: int, theta_max: float, seed=None) -> GeodesicMode
     """
     if 2 * k > d:
         raise DimensionMismatch(f"need 2k <= d, got k={k}, d={d}")
-    if not 0.0 <= theta_max <= np.pi / 2:
-        raise ValueError(f"theta_max must lie in [0, pi/2], got {theta_max}")
+    check_setting("theta_max", theta_max, 0, np.pi / 2)
     rng = np.random.default_rng(seed)
     q = orthonormalize(rng.standard_normal((d, 2 * k)))
     theta = rng.uniform(-theta_max, theta_max, size=k)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, check_setting
 from .estimator import EstimatorConfig, angle_constants, fit
 from .geodesic import GeodesicModel
 
@@ -36,8 +36,7 @@ def loss_surface_2d(dataset: Dataset, omega_grid: np.ndarray, theta_grid: np.nda
 
 def recenter_times(dataset: Dataset, t_center: float) -> Dataset:
     """Shift every sample time by -t_center; matrices untouched."""
-    if not 0.0 <= t_center <= 1.0:
-        raise ValueError("t_center must lie in [0, 1]")
+    check_setting("t_center", t_center, 0, 1)
     return dataset.with_times(dataset.times - t_center)
 
 

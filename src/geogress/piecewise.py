@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DimensionMismatch, EmptySegment
+from .errors import DimensionMismatch, EmptySegment, check_setting
 from .estimator import EstimatorConfig, ProvidedInit, fit, loss
 from .geodesic import GeodesicModel
 from .metrics import subspace_error
@@ -39,12 +39,6 @@ def _checked_knots(knots) -> np.ndarray:
     if not (abs(knots[0]) <= 1e-12 and abs(knots[-1] - 1.0) <= 1e-12):
         raise ValueError("knots must span [0, 1]")
     return knots
-
-
-def check_lambda(lam) -> None:
-    """Raise ValueError unless the penalty weight is finite and >= 0 (NaN fails too)."""
-    if not 0.0 <= lam < np.inf:
-        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
 
 
 @dataclass(frozen=True)
@@ -187,7 +181,7 @@ def fit_piecewise(
     (same relative rule as the inner fits) or `max_sweeps` is reached.
     Lambda must be finite and >= 0.
     """
-    check_lambda(lam)
+    check_setting("lambda", lam, 0)
     knots = np.asarray(knots, dtype=float)
     segment_data = split_by_knots(dataset, knots)
     J = len(segment_data)
@@ -233,10 +227,12 @@ def fit_piecewise_schedule(
     config: EstimatorConfig,
     max_sweeps: int = 50,
 ) -> list[PiecewiseFitReport]:
-    """Continuation over a lambda schedule, each stage warm-started from the last; every lambda is checked first."""
+    """Continuation over a non-empty lambda schedule, each stage warm-started from the last; all checked first."""
     lams = list(lams)
+    if not lams:
+        raise ValueError("lambdas must hold at least one penalty weight")
     for lam in lams:
-        check_lambda(lam)
+        check_setting("lambdas", lam, 0)
     reports = []
     segments = None
     for lam in lams:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, check_setting
 from .geodesic import GeodesicModel, connect, random_geodesic
 
 
@@ -32,16 +32,15 @@ def sample_times(T: int) -> np.ndarray:
     return np.arange(T) / (T - 1)
 
 
-def _check_settings(d: int, k: int, ell: int, T: int, sigma: float) -> None:
-    """Reject settings no planted instance has; written so that NaN fails each check."""
+def _check_settings(d: int, k: int, ell: int, T: int, sigma: float, seed: int) -> None:
+    """Reject settings no planted instance has."""
+    check_setting("k", k, 1)
     if not 2 * k <= d:
         raise DimensionMismatch(f"need 2k <= d, got k={k}, d={d}")
-    if not T >= 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if not ell >= 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    if not 0.0 <= sigma < np.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    check_setting("T", T, 1)
+    check_setting("ell", ell, 1)
+    check_setting("sigma", sigma, 0)
+    check_setting("seed", seed, 0)
 
 
 def _sample(rng: np.random.Generator, bases, ell: int, sigma: float):
@@ -69,7 +68,7 @@ def planted_instance(
     The noise stream is drawn (and scaled by sigma) even when sigma = 0,
     so instances with the same seed share loadings across noise levels.
     """
-    _check_settings(d, k, ell, T, sigma)
+    _check_settings(d, k, ell, T, sigma, seed)
     rng = np.random.default_rng(seed)
     truth = random_geodesic(d, k, theta_max, rng)
     times = sample_times(T)
@@ -92,7 +91,7 @@ def planted_piecewise_instance(d: int, k: int, ell: int, T: int, sigma: float, t
     path is continuous at the knot t = 0.5.  Returns (dataset, (segment
     models), knots, clean matrices).
     """
-    _check_settings(d, k, ell, T, sigma)
+    _check_settings(d, k, ell, T, sigma, seed)
     knot = 0.5
     rng = np.random.default_rng(seed)
     first = random_geodesic(d, k, theta_max, rng)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from geogress import (
     subspace_error,
 )
 from geogress import estimator
+from geogress.errors import check_setting
 from geogress.geodesic import orthonormal_complement
 
 
@@ -817,18 +819,40 @@ class TestGaussNewtonStep:
 
 
 class TestConfigValidation:
+    def test_check_setting(self):
+        nan, inf = float("nan"), float("inf")
+        for value in (0, 2, 1.5, np.int64(0), np.int32(2), np.float64(0.0), np.float32(2.0)):
+            check_setting("x", value, 0, 2)
+        check_setting("x", 10**400, 0)
+        for value in (-1, 3, -1e-300, 2.0000001, np.int64(3), np.float64(-0.5), nan, inf, -inf, np.float32(nan)):
+            with pytest.raises(ValueError, match=r"^x must be finite and in \[0, 2\], got "):
+                check_setting("x", value, 0, 2)
+        for value in (-1, nan, inf, -inf):
+            with pytest.raises(ValueError, match="^x must be finite and >= 0, got "):
+                check_setting("x", value, 0)
+
     def test_bounds(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(init=RandomInit(2), outer_iters=0)
-        with pytest.raises(ValueError):
-            EstimatorConfig(init=RandomInit(2), inner_basis_iters=0)
-        for tol in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="rel_loss_tol"):
-                EstimatorConfig(init=RandomInit(2), rel_loss_tol=tol)
-        with pytest.raises(ValueError):
-            EstimatorConfig(init=EndpointsInit(2, pool_fraction=0.75))
-        with pytest.raises(ValueError):
-            EstimatorConfig(init=RandomInit(2), time_center=1.5)
+        # Every numeric field of the config and of both numeric inits; each
+        # bad value is rejected at construction, naming the field.
+        nan, inf = float("nan"), float("inf")
+        cases = {
+            (EstimatorConfig, "outer_iters"): (0, -1, nan, inf),
+            (EstimatorConfig, "inner_basis_iters"): (0, nan, inf),
+            (EstimatorConfig, "rel_loss_tol"): (-1.0, nan, inf),
+            (EstimatorConfig, "time_center"): (-0.5, 1.5, nan, inf),
+            (RandomInit, "k"): (0, -1, nan, inf),
+            (RandomInit, "theta_max"): (-0.1, 2.0, nan, inf),
+            (RandomInit, "seed"): (-1, nan, inf),
+            (EndpointsInit, "k"): (0, nan, inf),
+            (EndpointsInit, "pool_fraction"): (0.0, 0.75, nan, inf),
+        }
+        for cls in (EstimatorConfig, RandomInit, EndpointsInit):
+            assert {f.name for f in fields(cls)} - {"init"} == {name for c, name in cases if c is cls}
+        for (cls, name), values in cases.items():
+            for value in values:
+                kwargs = {"k": 2} if cls is not EstimatorConfig else {"init": RandomInit(2)}
+                with pytest.raises(ValueError, match=f"^{name} must"):
+                    cls(**{**kwargs, name: value})
 
     def test_pool_fraction_bound_on_init_endpoints(self):
         inst = planted_instance(10, 2, 1, 8, 0.1, 1.0, seed=52)

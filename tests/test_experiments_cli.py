@@ -238,7 +238,7 @@ class TestRunExperiment:
             experiment="Landscape2D", d=(2,), k=(1,), ell=(1,), T=(7,), sigma=(1e-2,), theta_max=(1.0,),
             trials=1, base_seed=5, estimator={"outer_iters": 5}, **{name: steps},
         )
-        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 1"):
             run_experiment(spec)
 
     def test_piecewise_demo_rows(self):
@@ -366,7 +366,7 @@ class TestCli:
         surface = tmp_path / "surface.csv"
         save_dataset(planted_instance(2, 1, 1, 9, 0.05, 1.0, 3).dataset, data)
         assert main(["landscape", "--data", str(data), flag, steps, "--out", str(surface)]) == 1
-        assert f"{name} must be >= 1" in capsys.readouterr().err
+        assert f"{name} must be finite and >= 1" in capsys.readouterr().err
         assert not surface.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -376,14 +376,17 @@ class TestCli:
         assert main(["fit", "--data", str(data), "--k", "2", "--rel-loss-tol", tol]) == 1
         assert "rel_loss_tol must be finite and >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override, name", [
-        ({"estimator": {"rel_loss_tol": float("nan")}}, "rel_loss_tol"),
-        ({"estimator": {"rel_loss_tol": float("inf")}}, "rel_loss_tol"),
-        ({"sigma": [float("nan")]}, "sigma"),
-        ({"sigma": [float("inf")]}, "sigma"),
-        ({"experiment": "PiecewiseDemo", "sigma": [-1]}, "sigma"),
-    ], ids=["rel-loss-tol-nan", "rel-loss-tol-inf", "sigma-nan", "sigma-inf", "piecewise-sigma-negative"])
-    def test_bad_setting_named_before_any_fit(self, tmp_path, capsys, override, name):
+    @pytest.mark.parametrize("override, message", [
+        ({"estimator": {"rel_loss_tol": float("nan")}}, "rel_loss_tol must be finite and >= 0"),
+        ({"estimator": {"rel_loss_tol": float("inf")}}, "rel_loss_tol must be finite and >= 0"),
+        ({"sigma": [float("nan")]}, "sigma must be finite and >= 0"),
+        ({"sigma": [float("inf")]}, "sigma must be finite and >= 0"),
+        ({"experiment": "PiecewiseDemo", "sigma": [-1]}, "sigma must be finite and >= 0"),
+        ({"base_seed": -1}, "base_seed must be finite and >= 0"),
+        ({"k": [0]}, "k must be finite and >= 1"),
+    ], ids=["rel-loss-tol-nan", "rel-loss-tol-inf", "sigma-nan", "sigma-inf", "piecewise-sigma-negative",
+            "base-seed-negative", "k-zero"])
+    def test_bad_setting_named_before_any_fit(self, tmp_path, capsys, override, message):
         cfg = tmp_path / "exp.json"
         payload = {"experiment": "Convergence", "d": [10], "k": [2], "T": [10], "trials": 1,
                    "estimator": {"outer_iters": 5}, "out": str(tmp_path / "result.csv")}
@@ -395,8 +398,33 @@ class TestCli:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimator, "_initial_model", no_fit)
             assert main(["experiment", "--config", str(cfg)]) == 1
-        assert f"{name} must be finite and >= 0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "result.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--k", "0"], "error: k must be finite and >= 1, got 0"),
+        (["fit", "--k", "0", "--init", "endpoints"], "error: k must be finite and >= 1, got 0"),
+        (["fit", "--k", "2", "--seed", "-1"], "error: seed must be finite and >= 0, got -1"),
+        (["fit", "--k", "2", "--init-theta-max", "nan"], "error: theta_max must be finite and in [0, "),
+        (["synth", "--d", "10", "--k", "0", "--T", "12"], "error: k must be finite and >= 1, got 0"),
+        (["synth", "--d", "10", "--k", "2", "--T", "12", "--seed", "-1"], "error: seed must be finite and >= 0"),
+        (["experiment", "--experiment", "Convergence", "--d", "10", "--T", "10", "--seed", "-1"],
+         "error: base_seed must be finite and >= 0, got -1"),
+    ], ids=["fit-k-zero", "fit-endpoints-k-zero", "fit-seed-negative", "fit-init-theta-max-nan", "synth-k-zero",
+            "synth-seed-negative", "experiment-seed-negative"])
+    def test_bad_flag_named_before_any_output(self, tmp_path, capsys, argv, message):
+        data, out = tmp_path / "data.txt", tmp_path / "out.txt"
+        save_dataset(planted_instance(10, 2, 1, 12, 0.01, 1.2, 4).dataset, data)
+        extra = ["--data", str(data)] if argv[0] == "fit" else []
+
+        def no_fit(*args):
+            raise AssertionError("a fit ran")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_initial_model", no_fit)
+            assert main(argv + extra + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_piecewise_command(self, tmp_path):
         data = tmp_path / "data.txt"

@@ -207,8 +207,9 @@ class TestRandomGeodesic:
     def test_rejects_bad_arguments(self):
         with pytest.raises(DimensionMismatch):
             random_geodesic(5, 3, 1.0, seed=0)
-        with pytest.raises(ValueError):
-            random_geodesic(10, 2, 2.0, seed=0)
+        for theta_max in (-0.1, 2.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^theta_max must"):
+                random_geodesic(10, 2, theta_max, seed=0)
 
 
 def test_orthonormal_complement_is_orthogonal():

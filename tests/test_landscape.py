@@ -58,6 +58,12 @@ class TestLossSurface:
 
 
 class TestRecenterTimes:
+    def test_center_outside_unit_interval_rejected(self):
+        inst = planted_instance(2, 1, 1, 5, 0.1, 1.0, seed=6)
+        for t_center in (-0.1, 1.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^t_center must"):
+                recenter_times(inst.dataset, t_center)
+
     def test_zero_center_is_identity(self):
         inst = planted_instance(2, 1, 1, 5, 0.1, 1.0, seed=6)
         out = recenter_times(inst.dataset, 0.0)

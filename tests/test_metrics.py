@@ -104,6 +104,12 @@ class TestGeodesicError:
         with pytest.raises(DimensionMismatch):
             geodesic_error(random_geodesic(8, 2, 1.0, seed=1), random_geodesic(8, 3, 1.0, seed=1))
 
+    def test_quadrature_size_checked(self):
+        m = random_geodesic(8, 2, 1.0, seed=1)
+        for n_quad in (1, 0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^n_quad must"):
+                geodesic_error(m, m, n_quad=n_quad)
+
 
 class TestDataError:
     def test_exact_reconstruction(self):

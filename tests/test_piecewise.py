@@ -115,6 +115,24 @@ class TestBadInput:
         assert fits == []
         assert not (tmp_path / "stages.csv").exists()
 
+    def test_empty_schedule_rejected(self, fits):
+        inst = planted_instance(8, 2, 1, 9, 0.1, 1.0, seed=1)
+        with pytest.raises(ValueError, match="^lambdas must hold at least one"):
+            fit_piecewise_schedule(inst.dataset, KNOTS, [], config(outer=5))
+        assert fits == []
+
+    @pytest.mark.parametrize("models_out", [False, True], ids=["stages-only", "models-out"])
+    def test_empty_schedule_exits_one_before_any_output(self, fits, tmp_path, capsys, models_out):
+        data = tmp_path / "data.txt"
+        assert main(["synth", "--d", "8", "--k", "2", "--T", "9", "--sigma", "0.1", "--seed", "1",
+                     "--out", str(data)]) == 0
+        argv = ["piecewise", "--data", str(data), "--knots", "0,0.5,1", "--k", "2", "--lambdas", "",
+                "--out", str(tmp_path / "stages.csv")]
+        assert main(argv + (["--models-out", str(tmp_path / "final")] if models_out else [])) == 1
+        assert "error: lambdas must hold at least one" in capsys.readouterr().err
+        assert fits == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.txt"]
+
     def test_initial_segment_count_checked(self, fits):
         inst = planted_instance(8, 2, 1, 9, 0.1, 1.0, seed=1)
         seg = random_geodesic(8, 2, 1.0, seed=2)

@@ -99,6 +99,8 @@ class TestPermuteTimes:
 
 
 _BAD_SETTINGS = {
+    "k-below-one": ("k", {"k": 0}),
+    "negative-seed": ("seed", {"seed": -1}),
     "T-below-one": ("T", {"T": 0}),
     "ell-below-one": ("ell", {"ell": 0}),
     "negative-sigma": ("sigma", {"sigma": -1.0}),
