@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the range check of numeric settings."""
+"""Exception types shared across the package, and the range checks of numeric settings."""
 
 import math
+import numbers
 
 
 class GeogressError(Exception):
@@ -63,3 +64,15 @@ def check_setting(name: str, value, low, high=math.inf) -> None:
     if not (low <= value <= high and -math.inf < value < math.inf):
         bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be finite and {bounds}, got {value}")
+
+
+def is_integer(value) -> bool:
+    """Whether `value` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_count(name: str, value, low) -> None:
+    """Raise ValueError naming the setting unless `value` is an integer >= low."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    check_setting(name, value, low)

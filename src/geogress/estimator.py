@@ -26,20 +26,18 @@ weight is undefined), so they are excluded from the angle sums.  Negative
 times, which arise when the time axis is recentered, are folded back to
 positive ones through the identity f(x; t, phi) = f(x; -t, -phi).
 
-3. Near the parameter-counting edge N = 2k (N data columns in all), the two
-   blocks are strongly coupled and block descent crawls along an
-   ill-conditioned valley.  For data with N <= 8k columns (and k <= 22)
-   each outer iteration therefore also tries one Levenberg-Marquardt step
-   on the stacked residual, in a chart of the rotations within span [H Y]
-   and the angles: 2k^2 unknowns, retracted by a 2k x 2k polar factor
-   (Edelman, Arias & Smith 1998; Absil, Mahony & Sepulchre 2008).  Moving
-   the span itself is left to step 1, which runs just before.  The step is
-   kept only when its loss is not above the block iterate's, so the loss
-   still never increases; everywhere else the iterates are those of steps
-   1-2.
-   Block descent also crawls past 8k columns at low noise; the bound is
-   where the fits the acceptance criteria were set on begin (see
-   `_EDGE_COLUMNS_PER_RANK`), not where the step stops helping.
+3. Block descent crawls wherever the two blocks are strongly coupled: near
+   the parameter-counting edge N = 2k (N data columns in all), and at low
+   noise for any N.  Each outer iteration therefore also tries one
+   Levenberg-Marquardt step on the stacked residual, in a chart of the
+   rotations within span [H Y] and the angles: 2k^2 unknowns, retracted by
+   a 2k x 2k polar factor (Edelman, Arias & Smith 1998; Absil, Mahony &
+   Sepulchre 2008).  Its normal equations are built by row class, never
+   from the N k x 2k^2 Jacobian (`_EdgeChart`).  Moving the span itself is
+   left to step 1, which runs just before.  The step is kept only when its
+   loss is not above the block iterate's, so the loss still never
+   increases.  Only a rank above 22 (over `_MAX_STEP_UNKNOWNS` unknowns)
+   leaves the iterates to steps 1-2 alone.
 
 The loss is a sum over data columns, so every dataset, ragged or not, is
 handled as one d x N column stack with a time per column (`_Columns`):
@@ -52,6 +50,7 @@ workspace allocated with the stack.
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from dataclasses import dataclass
@@ -60,8 +59,8 @@ from math import ceil
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DimensionMismatch, InitFailure, NonpositiveTime, RankCollapseWarning, check_setting
-from .geodesic import GeodesicModel, connect, principal_basis, random_geodesic
+from .errors import DimensionMismatch, InitFailure, NonpositiveTime, RankCollapseWarning, check_count, check_setting
+from .geodesic import GeodesicModel, _largest_entry_positive, connect, principal_basis, random_geodesic
 
 _TINY = np.finfo(float).tiny
 _TWO_PI = 2.0 * np.pi
@@ -82,10 +81,10 @@ class RandomInit:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        check_setting("k", self.k, 1)
+        check_count("k", self.k, 1)
         check_setting("theta_max", self.theta_max, 0, np.pi / 2)
         if self.seed is not None:
-            check_setting("seed", self.seed, 0)
+            check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ class EndpointsInit:
     pool_fraction: float = 0.25
 
     def __post_init__(self) -> None:
-        check_setting("k", self.k, 1)
+        check_count("k", self.k, 1)
         if not 0.0 < self.pool_fraction <= 0.5:
             raise ValueError("pool_fraction must lie in (0, 0.5]")
 
@@ -129,8 +128,8 @@ class EstimatorConfig:
     time_center: float | None = None
 
     def __post_init__(self) -> None:
-        check_setting("outer_iters", self.outer_iters, 1)
-        check_setting("inner_basis_iters", self.inner_basis_iters, 1)
+        check_count("outer_iters", self.outer_iters, 1)
+        check_count("inner_basis_iters", self.inner_basis_iters, 1)
         check_setting("rel_loss_tol", self.rel_loss_tol, 0)
         if self.time_center is not None:
             check_setting("time_center", self.time_center, 0, 1)
@@ -429,11 +428,29 @@ def angle_mm_step(constants: AngleConstants, theta: np.ndarray, times: np.ndarra
 # Initialization and the outer loop
 
 
+def _endpoint_basis(pool: np.ndarray, k: int) -> np.ndarray:
+    """`principal_basis(pool, k)`, from one symmetric eigensolve when the pool is wide.
+
+    A pool with at least as many columns as rows takes the top-k
+    eigenvectors of its d x d Gram, about half the time of its SVD at
+    d = 200.  Forming the Gram squares the condition number, so unless the
+    k-th eigenvalue is above sqrt(eps) times the largest (sigma_k above
+    eps^(1/4) sigma_1), and for thinner pools, the thin SVD is kept.
+    """
+    d, n = pool.shape
+    if k <= d <= n:
+        values, vectors = np.linalg.eigh(pool @ pool.T)
+        if values[-k] > np.sqrt(np.finfo(float).eps) * values[-1]:
+            return _largest_entry_positive(vectors[:, : -k - 1 : -1])
+    return principal_basis(pool, k)
+
+
 def init_endpoints(dataset: Dataset, k: int, pool_fraction: float = 0.25) -> GeodesicModel:
     """Connect coarse SVD estimates of the starting and ending subspaces.
 
     Pools the first and last ceil(pool_fraction * T) samples, takes the
-    rank-k SVD basis of each pool, and returns the connecting geodesic.
+    rank-k principal basis of each pool, and returns the connecting
+    geodesic.
     """
     if not 0.0 < pool_fraction <= 0.5:
         raise ValueError("pool_fraction must lie in (0, 0.5]")
@@ -444,7 +461,7 @@ def init_endpoints(dataset: Dataset, k: int, pool_fraction: float = 0.25) -> Geo
         raise InitFailure(
             f"endpoint pools have {first.shape[1]} and {last.shape[1]} columns; need at least k={k}"
         )
-    return connect(principal_basis(first, k), principal_basis(last, k))
+    return connect(_endpoint_basis(first, k), _endpoint_basis(last, k))
 
 
 def _initial_model(dataset: Dataset, init: InitStrategy) -> GeodesicModel:
@@ -458,23 +475,14 @@ def _initial_model(dataset: Dataset, init: InitStrategy) -> GeodesicModel:
 
 
 # ---------------------------------------------------------------------------
-# Second-order step near the parameter-counting edge
+# Second-order step on the coupled blocks
 
-# The step is tried on data with at most this many columns per unit of rank.
-# This bound is not where the step stops paying: on planted instances at
-# sigma <= 1e-3, (d, k) = (30, 3), (50, 5), (50, 6), block descent alone
-# ran out a 1250-iteration budget at every N/k measured (2 to 16, and to 64
-# at sigma = 1e-3), and with the step the fits stopped after a median of
-# 4-49 iterations at a lower error.  8 is set by the test suite: it is the
-# widest bound that keeps the fits of acceptance criteria 4-6 (N down to
-# 11k) and of the landscape tests (N = 9k) on the block updates alone, so
-# their iterates stay those the criteria were set on.
-_EDGE_COLUMNS_PER_RANK = 8
 # A memory and time guard for a large k: the step forms and solves a dense
-# system of 2k^2 unknowns, at most this many, so k <= 22.  At k = 22 and
-# N = 8k columns its Jacobian blocks are 30 MB each and take, with the
-# normal equations, about 0.25 s on one core.  No fit in the tests or the
-# benchmark comes near it; the largest, at k = 8, has 128.
+# system of 2k^2 unknowns, at most this many, so k <= 22.  At k = 22 its
+# row-class stack takes 31 kB per data column (89 rows of 2N entries per
+# row class), and one normal-equation build and solve take about 45 ms at
+# N = 1000 on one core.  No fit in the tests or the benchmark comes near
+# it; the largest, at k = 8, has 128.
 _MAX_STEP_UNKNOWNS = 1024
 # Levenberg-Marquardt damping, relative to the largest Gauss-Newton curvature.
 _DAMPING_START = 1e-4
@@ -482,13 +490,45 @@ _DAMPING_MIN = 1e-12
 _DAMPING_MAX = 1e4
 
 
-def _near_edge(k: int, n_columns: int) -> bool:
-    """Whether `fit` tries the Gauss-Newton step: N <= 8k columns, small system.
+def _step_system_fits(k: int) -> bool:
+    """Whether the Gauss-Newton step's 2k^2 unknowns are within `_MAX_STEP_UNKNOWNS`.
 
-    The system has 2k^2 unknowns, k(2k - 1) for the skew A and k for dtheta,
+    The system has k(2k - 1) unknowns for the skew A and k for dtheta,
     whatever N and d are.
     """
-    return n_columns <= _EDGE_COLUMNS_PER_RANK * k and 2 * k * k <= _MAX_STEP_UNKNOWNS
+    return 2 * k * k <= _MAX_STEP_UNKNOWNS
+
+
+class _RowClasses:
+    """Where the row-class Grams of rank k land in the 2k^2 normal equations.
+
+    Row m of each residual block is moved only by dtheta_m and by the
+    rotation pairs (a, b) with a or b congruent to m mod k.  Class m's stack
+    has a row for each x in (m, m + k) and each y < 2k, the pair of x and y
+    (the product of column x's move and component y), then dtheta_m: 4k + 1
+    rows.  `unknown` gives each row's index in the packed step, `sign` its
+    sign there (+1 when x is the pair's larger index).  The pair (m, m + k)
+    has two rows, whose Gram entries add up in the scatter; x = y names no
+    pair and gets sign 0.  `flat` indexes each Gram entry of every class in
+    the flattened 2k^2 x 2k^2 system, `sign2` is its sign.
+    """
+
+    def __init__(self, k: int):
+        n = 2 * k
+        self.ia, self.ib = ia, ib = np.triu_indices(n, 1)
+        pair = np.zeros((n, n), dtype=np.intp)
+        pair[ia, ib] = pair[ib, ia] = np.arange(ia.size)
+        x, y = np.arange(k)[:, None, None] + k * np.arange(2)[None, :, None], np.arange(n)
+        self.size = size = ia.size + k
+        self.unknown = np.concatenate([pair[x, y].reshape(k, 2 * n), ia.size + np.arange(k)[:, None]], axis=1)
+        self.sign = np.concatenate([np.sign(x - y).reshape(k, 2 * n), np.ones((k, 1))], axis=1)
+        self.flat = (self.unknown[:, :, None] * size + self.unknown[:, None, :]).ravel()
+        self.sign2 = self.sign[:, :, None] * self.sign[:, None, :]
+
+
+# Built on first use for each k, not at import: a process that never takes
+# the step pays nothing.
+_row_classes = functools.cache(_RowClasses)
 
 
 class _EdgeChart:
@@ -502,53 +542,66 @@ class _EdgeChart:
     origin, and k rows along the rest of span Q.  A step packs
     (upper triangle of A, dtheta) into one vector of 2k^2 unknowns.
 
+    The Jacobian is never formed: each row class of the residual (see
+    `_RowClasses`) fills one slab of `stack`, a k x (4k + 1) x 2N buffer
+    its caller owns, with the rows' Jacobian entries along the rest of
+    span Q (first N columns) and along U(t) (last N), up to sign.
+
     Q, Q^T X, cos(theta tau), sin(theta tau) and the loadings are those
     `_Columns.evaluate` computed at the iterate.
     """
 
-    def __init__(self, point: _Point, tau: np.ndarray):
-        self.point = point
+    def __init__(self, point: _Point, tau: np.ndarray, stack: np.ndarray):
+        self.point, self.stack = point, stack
         self.k = k = point.H.shape[1]
+        self.classes = _row_classes(k)
+        n = tau.size
         cos_all, sin_all, c, v = point.cos, point.sin, point.coords, point.weighted
         self.e = e = cos_all * point.proj[k:] - sin_all * point.proj[:k]
         # v = U(t) c and r = the rest of span Q times e, in Q coordinates.
-        # Column m of Q moves row m mod k of each block: along U(t) by cs[m]
-        # and along the rest of span Q by cd[m].
+        # Column x of Q moves row x mod k of each block: along U(t) by cs[x]
+        # and along the rest of span Q by cd[x].  The skew generator
+        # e_a e_b^T - e_b e_a^T (a < b) moves the rows by -cd^T A v (rest
+        # of span Q) and cs^T A r (along U(t)), so the pair of x and y
+        # moves row x mod k by cd[x] v[y] and -cs[x] r[y], times +1 if
+        # x = b and -1 if x = a.  Negating the U(t) part of a whole class
+        # leaves its Gram unchanged, so the rows hold cs[x] r[y].
         r = np.concatenate([-sin_all * e, cos_all * e])
         cs, cd = np.concatenate([cos_all, sin_all]), np.concatenate([-sin_all, cos_all])
-        # The skew generator e_a e_b^T - e_b e_a^T (a < b) moves the rows by
-        # -cd^T A v (rest of span Q) and cs^T A r (along U(t)); each of its
-        # two terms touches one row, written into a zeroed block.
-        self.ia, self.ib = ia, ib = np.triu_indices(2 * k, 1)
-        row_a, row_b, pair, idx = ia % k, ib % k, np.arange(ia.size), np.arange(k)
-        self.jac_n = np.zeros((tau.size, k, ia.size + k))
-        self.jac_n[:, row_b, pair] = (cd[ib] * v[ia]).T
-        self.jac_n[:, row_a, pair] -= (cd[ia] * v[ib]).T
-        self.jac_n[:, idx, ia.size + idx] = -tau[:, None] * c.T
-        self.jac_u = np.zeros((tau.size, k, ia.size + k))
-        self.jac_u[:, row_a, pair] = (cs[ia] * r[ib]).T
-        self.jac_u[:, row_b, pair] -= (cs[ib] * r[ia]).T
-        self.jac_u[:, idx, ia.size + idx] = -tau[:, None] * e.T
+        by_x = (k, 2, 1, n)
+        pairs = stack[:, : 4 * k].reshape(k, 2, 2 * k, 2 * n)
+        np.multiply(cd.reshape(2, k, n).transpose(1, 0, 2).reshape(by_x), v, out=pairs[..., :n])
+        np.multiply(cs.reshape(2, k, n).transpose(1, 0, 2).reshape(by_x), r, out=pairs[..., n:])
+        # dtheta_m moves row m by -tau c[m] (rest of span Q) and -tau e[m]
+        # (along U(t), negated with its class).
+        np.multiply(c, -tau, out=stack[:, 4 * k, :n])
+        np.multiply(e, tau, out=stack[:, 4 * k, n:])
 
     def normal_equations(self):
         """Gauss-Newton matrix J^T J and gradient J^T r of the stacked residual.
 
-        Of the residual r only the rows along the rest of span Q, e, are
-        nonzero where J is: the rows along U(t) vanish at the chart's origin.
+        One batched matmul gives every row class's Gram; they are signed and
+        summed into the 2k^2 x 2k^2 system.  Of the residual r only the rows
+        along the rest of span Q, e, are nonzero where J is: the rows along
+        U(t) vanish at the chart's origin.
         """
-        n, k, n_s = self.jac_n.shape
-        jn, ju = self.jac_n.reshape(n * k, n_s), self.jac_u.reshape(n * k, n_s)
-        return jn.T @ jn + ju.T @ ju, jn.T @ self.e.T.reshape(-1)
+        classes, stack, n = self.classes, self.stack, self.e.shape[1]
+        grams = np.matmul(stack, stack.transpose(0, 2, 1))
+        grams *= classes.sign2
+        grads = np.matmul(stack[:, :, :n], self.e[:, :, None])[:, :, 0] * classes.sign
+        size = classes.size
+        gram = np.bincount(classes.flat, weights=grams.ravel(), minlength=size * size).reshape(size, size)
+        return gram, np.bincount(classes.unknown.ravel(), weights=grads.ravel(), minlength=size)
 
     def retract(self, step: np.ndarray):
         """(H, Y, theta) after `step`: Q times the polar factor of I + A."""
-        k, n_a = self.k, self.ia.size
+        k, ia, ib = self.k, self.classes.ia, self.classes.ib
         A = np.zeros((2 * k, 2 * k))
-        A[self.ia, self.ib] = step[:n_a]
+        A[ia, ib] = step[: ia.size]
         A -= A.T
         u, _, vt = np.linalg.svd(np.eye(2 * k) + A)
         q = self.point.Q @ (u @ vt)
-        return q[:, :k], q[:, k:], self.point.theta + step[n_a:]
+        return q[:, :k], q[:, k:], self.point.theta + step[ia.size :]
 
 
 class _EdgeStep:
@@ -560,8 +613,11 @@ class _EdgeStep:
     the next; Nielsen's rule updates them after every attempt.
     """
 
-    def __init__(self, columns: _Columns):
+    def __init__(self, columns: _Columns, k: int):
         self.columns = columns
+        # The chart's row-class stack, allocated once per fit like the
+        # residual workspace: a fresh one per attempt costs page faults.
+        self.stack = np.empty((k, 4 * k + 1, 2 * columns.tau.size))
         self.damping = _DAMPING_START
         self.raise_by = 2.0
 
@@ -573,7 +629,7 @@ class _EdgeStep:
         so the trail holds one loss formula and the loop goes on from the
         kept record.
         """
-        chart = _EdgeChart(block, self.columns.tau)
+        chart = _EdgeChart(block, self.columns.tau, self.stack)
         gram, grad = chart.normal_equations()
         shift = self.damping * max(float(np.max(np.diag(gram))), _TINY)
         gram[np.diag_indices_from(gram)] += shift
@@ -614,13 +670,13 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
     target that lost rank during the fit is reported once, at the end,
     through RankCollapseWarning.
 
-    For data near the edge N = 2k (at most 8k columns in all, and k <= 22)
-    each outer iteration then tries a damped Gauss-Newton step from the
-    block iterate, in the rotations within span [H Y] and the angles, and
-    keeps it only if its loss is not above the block iterate's.  A rejected
-    step, or a solve that fails, raises the damping, leaves the block
-    iterate in place and the fit goes on.  Other fits never take the step,
-    so their iterates are those of the two block updates alone.
+    For k <= 22 each outer iteration then tries a damped Gauss-Newton step
+    from the block iterate, in the rotations within span [H Y] and the
+    angles, and keeps it only if its loss is not above the block iterate's.
+    A rejected step, or a solve that fails, raises the damping, leaves the
+    block iterate in place and the fit goes on.  Fits of a larger rank never
+    take the step, so their iterates are those of the two block updates
+    alone.
 
     When `time_center` is set, fitting happens on the shifted axis
     t - t_center and the returned model is re-expressed on the original
@@ -639,7 +695,7 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
         model = model.shifted_origin(t_center)
 
     columns = _Columns(work)
-    edge = _EdgeStep(columns) if _near_edge(model.k, columns.x.shape[1]) else None
+    edge = _EdgeStep(columns, model.k) if _step_system_fits(model.k) else None
     point = columns.evaluate(model.H, model.Y, model.theta)
     losses = [point.loss]
     stop_reason = "budget"

@@ -23,12 +23,12 @@ import numpy as np
 
 from .baselines import batch_svd_subspace
 from .dataset import Dataset
-from .errors import InvalidSpec, RankTooLarge, check_setting
+from .errors import DimensionMismatch, InvalidSpec, RankTooLarge, check_count, check_setting, is_integer
 from .estimator import EndpointsInit, EstimatorConfig, RandomInit, fit
 from .landscape import loss_surface_2d, record_iterates, recenter_times
 from .metrics import geodesic_error
 from .piecewise import continuity_gap, fit_piecewise_schedule
-from .synth import permute_times, planted_instance, planted_piecewise_instance
+from .synth import check_instance_settings, permute_times, planted_instance, planted_piecewise_instance
 
 EXPERIMENTS = (
     "PhaseTransition",
@@ -60,10 +60,6 @@ def _grid(value) -> tuple:
     if isinstance(value, (list, tuple, np.ndarray)):
         return tuple(value)
     return (value,)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -103,21 +99,23 @@ class ExperimentSpec:
             if len(getattr(self, name)) == 0:
                 raise InvalidSpec(f"grid {name} must be non-empty")
         for name in ("d", "k", "ell", "T"):
-            if not all(_is_int(v) for v in getattr(self, name)):
+            if not all(is_integer(v) for v in getattr(self, name)):
                 raise InvalidSpec(f"grid {name} must hold integers, got {getattr(self, name)!r}")
         for name in ("sigma", "theta_max", "lambdas"):
             if not all(_is_real(v) for v in getattr(self, name)):
                 raise InvalidSpec(f"grid {name} must hold real numbers, got {getattr(self, name)!r}")
         for name in ("trials", "base_seed", "omega_steps", "theta_steps"):
-            if not _is_int(getattr(self, name)):
+            if not is_integer(getattr(self, name)):
                 raise InvalidSpec(f"{name} must be an integer, got {getattr(self, name)!r}")
         try:
             check_setting("base_seed", self.base_seed, 0)
             for lam in self.lambdas:
                 check_setting("lambdas", lam, 0)
-        except ValueError as exc:
+            for cell in itertools.product(self.d, self.k, self.ell, self.T, self.sigma, self.theta_max):
+                check_instance_settings(*cell)
+        except (ValueError, DimensionMismatch) as exc:
             raise InvalidSpec(str(exc)) from None
-        if self.true_k is not None and not _is_int(self.true_k):
+        if self.true_k is not None and not is_integer(self.true_k):
             raise InvalidSpec(f"true_k must be an integer or null, got {self.true_k!r}")
         if not isinstance(self.estimator, dict) or not set(self.estimator) <= set(_ESTIMATOR_OPTIONS):
             raise InvalidSpec(f"estimator must be an object with keys from {_ESTIMATOR_OPTIONS}")
@@ -125,7 +123,7 @@ class ExperimentSpec:
             if name == "init":
                 kind, ok = "a string", isinstance(value, str)
             elif name.endswith("_iters"):
-                kind, ok = "an integer", _is_int(value)
+                kind, ok = "an integer", is_integer(value)
             else:
                 kind, ok = "a real number", _is_real(value)
             if value is not None and not ok:
@@ -221,8 +219,8 @@ def landscape_rows(data: Dataset, omega_steps: int, theta_steps: int, time_cente
     recentred data (so without the config's own time_center), giving one
     iterate row per accepted outer iteration.
     """
-    check_setting("omega_steps", omega_steps, 1)
-    check_setting("theta_steps", theta_steps, 1)
+    check_count("omega_steps", omega_steps, 1)
+    check_count("theta_steps", theta_steps, 1)
     if time_center:
         data = recenter_times(data, time_center)
     omega_grid = np.linspace(-np.pi / 2, np.pi / 2, omega_steps)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotOrthonormal, NotTangent, check_setting
+from .errors import DimensionMismatch, NotOrthonormal, NotTangent, check_count, check_setting
 
 # Construction-time validation tolerance; internal assertions use 1e-10.
 ORTHO_TOL = 1e-8
@@ -229,6 +229,8 @@ def random_geodesic(d: int, k: int, theta_max: float, seed=None) -> GeodesicMode
     convention) and split into H and Y.  Deterministic under a fixed seed;
     `seed` may be an int or a numpy Generator.
     """
+    check_count("k", k, 1)
+    check_count("d", d, 1)
     if 2 * k > d:
         raise DimensionMismatch(f"need 2k <= d, got k={k}, d={d}")
     check_setting("theta_max", theta_max, 0, np.pi / 2)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, check_setting
+from .errors import DimensionMismatch, check_count
 from .geodesic import GeodesicModel
 
 DEFAULT_QUADRATURE = 201
@@ -37,7 +37,7 @@ def geodesic_error(m1: GeodesicModel, m2: GeodesicModel, n_quad: int = DEFAULT_Q
     """
     if (m1.d, m1.k) != (m2.d, m2.k):
         raise DimensionMismatch(f"models differ in (d, k): ({m1.d}, {m1.k}) vs ({m2.d}, {m2.k})")
-    check_setting("n_quad", n_quad, 2)
+    check_count("n_quad", n_quad, 2)
     grid = np.linspace(0.0, 1.0, n_quad)
     p1 = m1.evaluate_path(grid)
     p2 = m2.evaluate_path(grid)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DimensionMismatch, check_setting
+from .errors import DimensionMismatch, check_count, check_setting
 from .geodesic import GeodesicModel, connect, random_geodesic
 
 
@@ -32,15 +32,16 @@ def sample_times(T: int) -> np.ndarray:
     return np.arange(T) / (T - 1)
 
 
-def _check_settings(d: int, k: int, ell: int, T: int, sigma: float, seed: int) -> None:
+def check_instance_settings(d: int, k: int, ell: int, T: int, sigma: float, theta_max: float) -> None:
     """Reject settings no planted instance has."""
-    check_setting("k", k, 1)
+    check_count("k", k, 1)
+    check_count("d", d, 1)
     if not 2 * k <= d:
         raise DimensionMismatch(f"need 2k <= d, got k={k}, d={d}")
-    check_setting("T", T, 1)
-    check_setting("ell", ell, 1)
+    check_count("T", T, 1)
+    check_count("ell", ell, 1)
     check_setting("sigma", sigma, 0)
-    check_setting("seed", seed, 0)
+    check_setting("theta_max", theta_max, 0, np.pi / 2)
 
 
 def _sample(rng: np.random.Generator, bases, ell: int, sigma: float):
@@ -68,7 +69,8 @@ def planted_instance(
     The noise stream is drawn (and scaled by sigma) even when sigma = 0,
     so instances with the same seed share loadings across noise levels.
     """
-    _check_settings(d, k, ell, T, sigma, seed)
+    check_instance_settings(d, k, ell, T, sigma, theta_max)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     truth = random_geodesic(d, k, theta_max, rng)
     times = sample_times(T)
@@ -91,7 +93,8 @@ def planted_piecewise_instance(d: int, k: int, ell: int, T: int, sigma: float, t
     path is continuous at the knot t = 0.5.  Returns (dataset, (segment
     models), knots, clean matrices).
     """
-    _check_settings(d, k, ell, T, sigma, seed)
+    check_instance_settings(d, k, ell, T, sigma, theta_max)
+    check_count("seed", seed, 0)
     knot = 0.5
     rng = np.random.default_rng(seed)
     first = random_geodesic(d, k, theta_max, rng)

@@ -37,7 +37,7 @@ from geogress import (
     subspace_error,
 )
 from geogress import estimator
-from geogress.errors import check_setting
+from geogress.errors import check_count, check_setting
 from geogress.geodesic import orthonormal_complement
 
 
@@ -126,24 +126,63 @@ def reference_mm_steps(r, phi, times, theta, steps):
     return theta
 
 
-def reference_directional(chart, step):
-    """The chart's Jacobian times `step`, as a d x N matrix of residual changes."""
-    p = chart.point
-    along_rest, along_u = (chart.jac_n @ step).T, (chart.jac_u @ step).T
-    in_q = np.concatenate([p.cos * along_u - p.sin * along_rest, p.sin * along_u + p.cos * along_rest])
-    return p.Q @ in_q
+def reference_jacobian(point, tau):
+    """The edge chart's Jacobian as two dense N x k x 2k^2 blocks, along the rest of span Q and along U(t).
+
+    The chart's Jacobian as first written, which `fit` no longer forms:
+    block [i, m, j] is the change of row m of column i's residual under
+    unknown j, the unknowns packed as (upper triangle of A, dtheta).
+    """
+    k = point.H.shape[1]
+    cos_all, sin_all, c, v = point.cos, point.sin, point.coords, point.weighted
+    e = cos_all * point.proj[k:] - sin_all * point.proj[:k]
+    r = np.concatenate([-sin_all * e, cos_all * e])
+    cs, cd = np.concatenate([cos_all, sin_all]), np.concatenate([-sin_all, cos_all])
+    ia, ib = np.triu_indices(2 * k, 1)
+    row_a, row_b, pair, idx = ia % k, ib % k, np.arange(ia.size), np.arange(k)
+    jac_n = np.zeros((tau.size, k, ia.size + k))
+    jac_n[:, row_b, pair] = (cd[ib] * v[ia]).T
+    jac_n[:, row_a, pair] -= (cd[ia] * v[ib]).T
+    jac_n[:, idx, ia.size + idx] = -tau[:, None] * c.T
+    jac_u = np.zeros((tau.size, k, ia.size + k))
+    jac_u[:, row_a, pair] = (cs[ia] * r[ib]).T
+    jac_u[:, row_b, pair] -= (cs[ib] * r[ia]).T
+    jac_u[:, idx, ia.size + idx] = -tau[:, None] * e.T
+    return jac_n, jac_u, e
+
+
+def reference_normal_equations(point, tau):
+    """J^T J and J^T e of `reference_jacobian`."""
+    jac_n, jac_u, e = reference_jacobian(point, tau)
+    n, k, size = jac_n.shape
+    jn, ju = jac_n.reshape(n * k, size), jac_u.reshape(n * k, size)
+    return jn.T @ jn + ju.T @ ju, jn.T @ e.T.reshape(-1)
+
+
+def reference_directional(point, tau, step):
+    """`reference_jacobian` times `step`, as a d x N matrix of residual changes."""
+    jac_n, jac_u, _ = reference_jacobian(point, tau)
+    along_rest, along_u = (jac_n @ step).T, (jac_u @ step).T
+    in_q = np.concatenate([point.cos * along_u - point.sin * along_rest, point.sin * along_u + point.cos * along_rest])
+    return point.Q @ in_q
+
+
+def edge_chart(columns, model):
+    """The step's chart at `model`, on a stack allocated as `fit` allocates it."""
+    point = columns.evaluate(model.H, model.Y, model.theta)
+    return estimator._EdgeChart(point, columns.tau, estimator._EdgeStep(columns, model.k).stack)
 
 
 def oracle_fit(dataset, model, config):
     """`fit`'s outer loop built from the per-sample references; returns (trail, iterations run).
 
-    Same stop rules and the same Gauss-Newton step near the edge; the trail
+    Same stop rules and the same Gauss-Newton step; the trail
     records the per-sample loss, and the step is taken and judged on the
     column stack, as in `fit`.  No time centering.
     """
     k = model.k
     columns = estimator._Columns(dataset)
-    edge = estimator._EdgeStep(columns) if estimator._near_edge(k, dataset.total_columns) else None
+    edge = estimator._EdgeStep(columns, k) if estimator._step_system_fits(k) else None
     H, Y, theta = model.H, model.Y, model.theta
     losses = [sample_loss(dataset, model)]
     for n in range(1, config.outer_iters + 1):
@@ -224,12 +263,11 @@ class TestResidualWorkspace:
                 assert value == estimator._Columns(data).evaluate(m.H, m.Y, m.theta).loss
 
     def test_kept_gauss_newton_evaluation_survives_later_calls(self):
-        # Near the edge `fit` goes on from the evaluation of a kept step; a
-        # later evaluation on the same stack must not overwrite it.
+        # `fit` goes on from the evaluation of a kept step; a later
+        # evaluation on the same stack must not overwrite it.
         data = planted_instance(12, 2, 2, 4, 1e-2, 1.2, seed=64).dataset
         columns = estimator._Columns(data)
-        assert estimator._near_edge(2, data.total_columns)
-        edge = estimator._EdgeStep(columns)
+        edge = estimator._EdgeStep(columns, 2)
         m = random_geodesic(12, 2, 1.0, seed=74)
         block = columns.evaluate(m.H, m.Y, m.theta)
         better = edge.improve(block)
@@ -535,28 +573,30 @@ class TestFit:
 
     def test_matches_per_sample_oracle_on_uniform_and_ragged_data(self):
         # `fit` against the per-sample oracle loop, on uniform and ragged
-        # data, outside and inside the Gauss-Newton gate.  The fits stop at
-        # the default tolerance: past it the two losses differ only by
-        # rounding, which decides when each sees non-descent.
-        uniform_out = planted_instance(10, 2, 2, 10, 0.3, 1.2, seed=27).dataset
-        uniform_in = planted_instance(12, 2, 2, 4, 1e-2, 1.2, seed=28).dataset
-        ragged_out = ragged_dataset(29, d=10, T=13, sigma=0.3)
-        ragged_in = ragged_dataset(30, d=12, T=7, sigma=1e-2)
-        cases = ((uniform_out, False), (uniform_in, True), (ragged_out, False), (ragged_in, True))
-        for data, near in cases:
-            assert estimator._near_edge(2, data.total_columns) == near
-            cfg = EstimatorConfig(init=RandomInit(2, seed=1), outer_iters=30)
-            report = fit(data, cfg)
-            start = random_geodesic(data.d, 2, np.pi / 4, seed=1)
-            trail, iters = oracle_fit(data, start, cfg)
-            assert report.outer_iters_run == iters
-            np.testing.assert_allclose(report.loss_per_outer_iter, trail, rtol=1e-9)
+        # data, with the Gauss-Newton step and with block updates alone
+        # (no system is small enough for the step).  The fits stop at the
+        # default tolerance: past it the two losses differ only by rounding,
+        # which decides when each sees non-descent.
+        uniform_wide = planted_instance(10, 2, 2, 10, 0.3, 1.2, seed=27).dataset
+        uniform_edge = planted_instance(12, 2, 2, 4, 1e-2, 1.2, seed=28).dataset
+        ragged_wide = ragged_dataset(29, d=10, T=13, sigma=0.3)
+        ragged_edge = ragged_dataset(30, d=12, T=7, sigma=1e-2)
+        for data in (uniform_wide, uniform_edge, ragged_wide, ragged_edge):
+            for limit in (estimator._MAX_STEP_UNKNOWNS, 0):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(estimator, "_MAX_STEP_UNKNOWNS", limit)
+                    cfg = EstimatorConfig(init=RandomInit(2, seed=1), outer_iters=30)
+                    report = fit(data, cfg)
+                    start = random_geodesic(data.d, 2, np.pi / 4, seed=1)
+                    trail, iters = oracle_fit(data, start, cfg)
+                assert report.outer_iters_run == iters
+                np.testing.assert_allclose(report.loss_per_outer_iter, trail, rtol=1e-9)
 
     def test_recomputed_loss_is_trail_end(self):
         # The final model's loss computed afresh is the trail's last entry,
         # and the trail never rises beyond criterion 1's slack: on uniform
-        # and ragged data, and inside the gate, where the evaluation of a kept
-        # step is reused.  Every recorded entry is checked the same way.
+        # and ragged data, where the evaluation of a kept step is reused.
+        # Every recorded entry is checked the same way.
         uniform = planted_instance(10, 2, 2, 10, 0.3, 1.2, seed=27).dataset
         edge = planted_instance(12, 2, 2, 4, 1e-2, 1.2, seed=28).dataset
         for data in (uniform, ragged_dataset(29, d=10, T=13, sigma=0.3), edge):
@@ -638,19 +678,19 @@ class TestFit:
 
 
 class TestGaussNewtonStep:
-    """The safeguarded second-order step `fit` tries near the N = 2k edge."""
+    """The safeguarded second-order step `fit` tries after every block iteration."""
 
     def test_directional_derivative_matches_finite_differences(self):
         inst = planted_instance(12, 2, 1, 7, 0.1, 1.4, seed=61)
         x = inst.dataset.column_stack()
         m = random_geodesic(12, 2, 1.2, seed=62)
         columns = estimator._Columns(inst.dataset)
-        chart = estimator._EdgeChart(columns.evaluate(m.H, m.Y, m.theta), columns.tau)
+        chart = edge_chart(columns, m)
         rng = np.random.default_rng(63)
         A = rng.standard_normal((4, 4))
         A -= A.T
         step = np.concatenate([A[np.triu_indices(4, 1)], rng.standard_normal(2)])
-        assert chart.jac_n.shape[2] == step.size == 2 * 2**2
+        assert chart.classes.size == step.size == 2 * 2**2
 
         def residual(s):
             model = GeodesicModel(*chart.retract(s * step))
@@ -658,18 +698,41 @@ class TestGaussNewtonStep:
 
         h = 1e-6
         fd = (residual(h) - residual(-h)) / (2 * h)
-        jv = reference_directional(chart, step)
+        jv = reference_directional(chart.point, columns.tau, step)
         assert np.max(np.abs(fd - jv)) <= 1e-7 * np.max(np.abs(jv))
         # the normal equations are those of the same Jacobian
         gram, grad = chart.normal_equations()
         assert step @ gram @ step == pytest.approx(np.sum(jv * jv), rel=1e-10)
         assert grad @ step == pytest.approx(np.sum(residual(0.0) * jv), rel=1e-10)
 
+    def test_row_class_normal_equations_match_dense_jacobian(self):
+        # J^T J and J^T e built by row class against those of the dense
+        # Jacobian: uniform data (one column at t = 0), ragged data on a
+        # recentred axis (negative times), a uniform axis recentred as
+        # `time_center` does it, k = 1, and 50,000 columns.
+        uniform = planted_instance(12, 3, 2, 9, 0.1, 1.3, seed=80).dataset
+        cases = (
+            (uniform, 3),
+            (ragged_dataset(81, d=10, k=2, T=9), 2),
+            (uniform.with_times(uniform.times - 0.5), 3),
+            (planted_instance(5, 1, 2, 7, 0.1, 1.3, seed=82).dataset, 1),
+            (planted_instance(6, 2, 1000, 50, 0.1, 1.3, seed=83).dataset, 2),
+        )
+        assert cases[-1][0].total_columns >= 50_000
+        for trial, (data, k) in enumerate(cases):
+            assert 0.0 in data.times
+            columns = estimator._Columns(data)
+            m = random_geodesic(data.d, k, 1.2, seed=84 + trial)
+            chart = edge_chart(columns, m)
+            gram, grad = chart.normal_equations()
+            ref_gram, ref_grad = reference_normal_equations(chart.point, columns.tau)
+            np.testing.assert_allclose(gram, ref_gram, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0.0)
+
     def test_trail_is_monotone_near_edge(self):
         shapes = ((12, 2, 3), (16, 3, 6), (20, 4, 8), (12, 2, 8), (16, 3, 12), (20, 4, 16))
         for trial, (d, k, T) in enumerate(shapes):
             inst = planted_instance(d, k, 1, T, 10.0 ** -(1 + trial % 3), 1.4, seed=6000 + trial)
-            assert estimator._near_edge(k, T)
             cfg = EstimatorConfig(init=RandomInit(k, seed=trial), outer_iters=60)
             trail = fit(inst.dataset, cfg).loss_per_outer_iter
             assert np.all(np.diff(trail) <= 0.0)
@@ -684,7 +747,7 @@ class TestGaussNewtonStep:
             for engaged in (True, False):
                 with pytest.MonkeyPatch.context() as mp:
                     if not engaged:
-                        mp.setattr(estimator, "_EDGE_COLUMNS_PER_RANK", 0)
+                        mp.setattr(estimator, "_MAX_STEP_UNKNOWNS", 0)
                     errors[engaged].append(geodesic_error(fit(inst.dataset, cfg).model, inst.truth))
         assert np.median(errors[True]) <= 1e-3
         assert np.median(errors[False]) > 1e-2
@@ -693,7 +756,7 @@ class TestGaussNewtonStep:
         inst = planted_instance(12, 2, 1, 4, 1e-2, 1.2, seed=65)
         m = random_geodesic(12, 2, 1.0, seed=66)
         columns = estimator._Columns(inst.dataset)
-        step = estimator._EdgeStep(columns)
+        step = estimator._EdgeStep(columns, 2)
         assert step.damping == estimator._DAMPING_START
         calls = []
         evaluate = columns.evaluate
@@ -713,9 +776,8 @@ class TestGaussNewtonStep:
         # of the loss; the step is tried after it all the same.
         inst = planted_instance(12, 2, 1, 4, 1e-2, 1.2, seed=65)
         cfg = EstimatorConfig(init=RandomInit(2, seed=66), outer_iters=1)
-        assert estimator._near_edge(2, inst.dataset.total_columns)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimator, "_EDGE_COLUMNS_PER_RANK", 0)
+            mp.setattr(estimator, "_MAX_STEP_UNKNOWNS", 0)
             trail = fit(inst.dataset, cfg).loss_per_outer_iter
         assert trail[1] <= 0.5 * trail[0]
         charts = []
@@ -738,9 +800,8 @@ class TestGaussNewtonStep:
         ragged = Dataset(inst.dataset.times, (mats[0], mats[1][:, :1], mats[2], mats[3]))
         cfg = EstimatorConfig(init=RandomInit(2, seed=5), outer_iters=40, rel_loss_tol=0.0)
         for data in (inst.dataset, ragged):
-            assert estimator._near_edge(2, data.total_columns)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(estimator, "_EDGE_COLUMNS_PER_RANK", 0)
+                mp.setattr(estimator, "_MAX_STEP_UNKNOWNS", 0)
                 block_only = fit(data, cfg)
             attempts = []
             improve = estimator._EdgeStep.improve
@@ -777,7 +838,7 @@ class TestGaussNewtonStep:
         inst = planted_instance(12, 2, 2, 4, 1e-2, 1.2, seed=64)
         cfg = EstimatorConfig(init=RandomInit(2, seed=5), outer_iters=40, rel_loss_tol=0.0)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimator, "_EDGE_COLUMNS_PER_RANK", 0)
+            mp.setattr(estimator, "_MAX_STEP_UNKNOWNS", 0)
             block_only = fit(inst.dataset, cfg)
         solves = []
 
@@ -831,19 +892,28 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="^x must be finite and >= 0, got "):
                 check_setting("x", value, 0)
 
+    def test_check_count(self):
+        for value in (0, 3, np.int64(2), np.int32(0), 10**400):
+            check_count("n", value, 0)
+        for value in (2.5, 2.0, np.float64(1.0), float("nan"), True, "2", None):
+            with pytest.raises(ValueError, match="^n must be an integer, got "):
+                check_count("n", value, 0)
+        with pytest.raises(ValueError, match="^n must be finite and >= 1, got 0"):
+            check_count("n", 0, 1)
+
     def test_bounds(self):
         # Every numeric field of the config and of both numeric inits; each
         # bad value is rejected at construction, naming the field.
         nan, inf = float("nan"), float("inf")
         cases = {
-            (EstimatorConfig, "outer_iters"): (0, -1, nan, inf),
-            (EstimatorConfig, "inner_basis_iters"): (0, nan, inf),
+            (EstimatorConfig, "outer_iters"): (0, -1, nan, inf, 2.5, 3.0, True),
+            (EstimatorConfig, "inner_basis_iters"): (0, nan, inf, 1.5, np.float64(2.0)),
             (EstimatorConfig, "rel_loss_tol"): (-1.0, nan, inf),
             (EstimatorConfig, "time_center"): (-0.5, 1.5, nan, inf),
-            (RandomInit, "k"): (0, -1, nan, inf),
+            (RandomInit, "k"): (0, -1, nan, inf, 2.5),
             (RandomInit, "theta_max"): (-0.1, 2.0, nan, inf),
-            (RandomInit, "seed"): (-1, nan, inf),
-            (EndpointsInit, "k"): (0, nan, inf),
+            (RandomInit, "seed"): (-1, nan, inf, 1.5),
+            (EndpointsInit, "k"): (0, nan, inf, 2.0),
             (EndpointsInit, "pool_fraction"): (0.0, 0.75, nan, inf),
         }
         for cls in (EstimatorConfig, RandomInit, EndpointsInit):

@@ -62,6 +62,19 @@ class TestExperimentSpec:
         with pytest.raises(InvalidSpec):
             ExperimentSpec.from_dict({"experiment": "Convergence", "bogus": 1})
 
+    @pytest.mark.parametrize("grids, message", [
+        ({"sigma": (0.1, float("nan"))}, "^sigma must be finite and >= 0, got nan"),
+        ({"theta_max": (1.0, 2.0)}, r"^theta_max must be finite and in \[0, "),
+        ({"T": (5, 0)}, "^T must be finite and >= 1, got 0"),
+        ({"ell": (1, 0)}, "^ell must be finite and >= 1, got 0"),
+        ({"k": (2, 0)}, "^k must be finite and >= 1, got 0"),
+        ({"d": (12, 3)}, "^need 2k <= d, got k=2, d=3"),
+    ], ids=["sigma", "theta-max", "T", "ell", "k", "two-k-above-d"])
+    def test_every_cell_checked_before_any_fit(self, grids, message):
+        # The bad entry is in the last cell; the spec is refused whole.
+        with pytest.raises(InvalidSpec, match=message):
+            ExperimentSpec(**{"experiment": "Convergence", "d": (12,), "k": (2,), "T": (5,), "trials": 2, **grids})
+
 
 class TestEstimatorConfig:
     def test_absent_or_none_options_take_dataclass_defaults(self):
@@ -384,8 +397,9 @@ class TestCli:
         ({"experiment": "PiecewiseDemo", "sigma": [-1]}, "sigma must be finite and >= 0"),
         ({"base_seed": -1}, "base_seed must be finite and >= 0"),
         ({"k": [0]}, "k must be finite and >= 1"),
+        ({"sigma": [0.1, float("nan")], "trials": 2}, "sigma must be finite and >= 0"),
     ], ids=["rel-loss-tol-nan", "rel-loss-tol-inf", "sigma-nan", "sigma-inf", "piecewise-sigma-negative",
-            "base-seed-negative", "k-zero"])
+            "base-seed-negative", "k-zero", "sigma-nan-in-second-cell"])
     def test_bad_setting_named_before_any_fit(self, tmp_path, capsys, override, message):
         cfg = tmp_path / "exp.json"
         payload = {"experiment": "Convergence", "d": [10], "k": [2], "T": [10], "trials": 1,

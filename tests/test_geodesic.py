@@ -210,6 +210,9 @@ class TestRandomGeodesic:
         for theta_max in (-0.1, 2.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="^theta_max must"):
                 random_geodesic(10, 2, theta_max, seed=0)
+        for d, k, name in ((10, 2.5, "k"), (10, 0, "k"), (10.5, 2, "d")):
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                random_geodesic(d, k, 1.0, seed=0)
 
 
 def test_orthonormal_complement_is_orthogonal():

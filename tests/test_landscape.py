@@ -1,5 +1,7 @@
 """Plane (d=2, k=1) loss surface and iterate recording."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from geogress import (
     record_iterates,
     recenter_times,
 )
+from geogress import estimator
 
 
 def plane_model(omega, theta):
@@ -120,14 +123,34 @@ class TestRecordIterates:
         assert pairs.shape[0] <= 1
 
     def test_centered_fit_converges_faster(self):
+        # A claim about block descent, so the Gauss-Newton step is off:
+        # with it, both fits stop within a few iterations (next test).
         inst = planted_instance(2, 1, 1, 9, 0.1, 1.2, seed=3)
         plain = EstimatorConfig(init=RandomInit(1, theta_max=1.0, seed=11), outer_iters=400, rel_loss_tol=1e-9)
         centered = EstimatorConfig(
             init=RandomInit(1, theta_max=1.0, seed=11), outer_iters=400, rel_loss_tol=1e-9, time_center=0.5
         )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_MAX_STEP_UNKNOWNS", 0)
+            _, rep_plain = record_iterates(inst.dataset, plain)
+            _, rep_centered = record_iterates(inst.dataset, centered)
+        assert rep_centered.outer_iters_run < rep_plain.outer_iters_run
+
+    def test_step_makes_centering_unneeded(self):
+        # With the step, the plain fit stops within five iterations, before
+        # block descent on the centred axis does, at the same loss.
+        inst = planted_instance(2, 1, 1, 9, 0.1, 1.2, seed=3)
+        plain = EstimatorConfig(init=RandomInit(1, theta_max=1.0, seed=11), outer_iters=400, rel_loss_tol=1e-9)
+        centered = replace(plain, time_center=0.5)
         _, rep_plain = record_iterates(inst.dataset, plain)
         _, rep_centered = record_iterates(inst.dataset, centered)
-        assert rep_centered.outer_iters_run < rep_plain.outer_iters_run
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_MAX_STEP_UNKNOWNS", 0)
+            _, block_centered = record_iterates(inst.dataset, centered)
+        assert rep_plain.outer_iters_run <= 5 and rep_centered.outer_iters_run <= 5
+        assert rep_plain.outer_iters_run < block_centered.outer_iters_run
+        for rep in (rep_centered, block_centered):
+            assert rep.loss_per_outer_iter[-1] == pytest.approx(rep_plain.loss_per_outer_iter[-1], rel=1e-8)
 
     def test_iterate_losses_read_off_surface_are_monotone(self):
         inst = planted_instance(2, 1, 1, 9, 0.1, 1.2, seed=3)

@@ -106,6 +106,11 @@ _BAD_SETTINGS = {
     "negative-sigma": ("sigma", {"sigma": -1.0}),
     "nan-sigma": ("sigma", {"sigma": float("nan")}),
     "inf-sigma": ("sigma", {"sigma": float("inf")}),
+    "fractional-T": ("T", {"T": 2.5}),
+    "fractional-ell": ("ell", {"ell": 1.5}),
+    "fractional-d": ("d", {"d": 8.5}),
+    "fractional-seed": ("seed", {"seed": 1.5}),
+    "nan-theta-max": ("theta_max", {"theta_max": float("nan")}),
 }
 
 
