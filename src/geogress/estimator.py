@@ -19,7 +19,8 @@ steps, neither of which can increase the loss:
    curvature weight 4 t_i^2 r_i sin(a)/a, where a = 2 x t_i - phi_i is
    wrapped to [-pi, pi]; one sine of a gives both this weight and the
    derivative 2 r_i t_i sin(a).  The summed majorizer has a closed-form
-   minimizer.
+   minimizer.  Up to five such steps run per outer iteration, stopping at
+   an exact fixed point.
 
 Samples at t_i = 0 contribute a term constant in theta (their curvature
 weight is undefined), so they are excluded from the angle sums.  Negative
@@ -62,9 +63,11 @@ from .dataset import Dataset
 from .errors import DimensionMismatch, InitFailure, NonpositiveTime, RankCollapseWarning, check_count, check_setting
 from .geodesic import GeodesicModel, _largest_entry_positive, connect, principal_basis, random_geodesic
 
+_EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _TWO_PI = 2.0 * np.pi
-# Angle MM steps per outer iteration; any count >= 1 keeps the loss monotone.
+# Most angle MM steps per outer iteration, fewer once a step leaves theta
+# exactly unchanged; any count >= 1 keeps the loss monotone.
 _ANGLE_MM_STEPS = 5
 
 
@@ -182,9 +185,10 @@ class AngleConstants:
 class _Point:
     """A point (H, Y, theta) with what `_Columns.evaluate` computed there.
 
-    Q = [H Y], proj = Q^T X, cos and sin of theta tau, the loadings
-    c = U(tau)^T x of each column (coords), [cos c; sin c] (weighted) and
-    the loss, or None when it was not asked for.
+    Q = [H Y] (H and Y are views of it), proj = Q^T X, cos and sin of
+    theta tau, the loadings c = U(tau)^T x of each column (coords),
+    [cos c; sin c] (weighted) and the loss, or None when it was not asked
+    for.
     """
 
     H: np.ndarray
@@ -222,8 +226,8 @@ class _Columns:
         """Q^T X for Q = [H Y], shape 2k x N."""
         return Q.T @ self.x
 
-    def evaluate(self, H, Y, theta, proj=None, with_loss: bool = True) -> _Point:
-        """The point (H, Y, theta) with its loadings and (optionally) its residual loss.
+    def evaluate(self, Q, theta, proj=None, with_loss: bool = True) -> _Point:
+        """The point (H, Y, theta), Q = [H Y], with its loadings and (optionally) its residual loss.
 
         With c = U(tau)^T x the loadings of each column, the weighted
         loadings [cos(theta tau) c; sin(theta tau) c] (2k x N) give both the
@@ -231,12 +235,11 @@ class _Columns:
         is formed explicitly, in this object's workspace: ||X||^2 - ||c||^2
         cancels catastrophically at the noise floors the fits reach.  The
         arrays computed here are fresh, so a later call leaves the returned
-        point intact.  `proj` is [H Y]^T X if the caller has it.
+        point intact.  `proj` is Q^T X if the caller has it.
         """
-        Q = np.concatenate([H, Y], axis=1)
         if proj is None:
             proj = self.project(Q)
-        k = H.shape[1]
+        k = Q.shape[1] // 2
         angles = theta[:, None] * self.tau[None, :]
         cos_all, sin_all = np.cos(angles), np.sin(angles)
         coords = cos_all * proj[:k] + sin_all * proj[k:]
@@ -247,15 +250,13 @@ class _Columns:
             np.subtract(self.x, resid, out=resid)
             np.multiply(resid, resid, out=resid)
             value = float(resid.sum())
-        return _Point(H, Y, theta, Q, proj, cos_all, sin_all, coords, weighted, value)
+        return _Point(Q[:, :k], Q[:, k:], theta, Q, proj, cos_all, sin_all, coords, weighted, value)
 
     def update_bases(self, weighted):
-        """Polar factor of the Procrustes target X weighted^T, and whether it kept full rank."""
-        d, k = self.x.shape[0], weighted.shape[0] // 2
+        """Q = [H Y], the polar factor of the Procrustes target X weighted^T, and whether it kept full rank."""
         w, sv, vt = np.linalg.svd(self.x @ weighted.T, full_matrices=False)
-        rank_ok = sv[0] > 0.0 and sv[-1] > sv[0] * max(d, 2 * k) * np.finfo(float).eps
-        q = w @ vt
-        return q[:, :k], q[:, k:], rank_ok
+        rank_ok = sv[0] > 0.0 and sv[-1] > sv[0] * max(self.x.shape[0], weighted.shape[0]) * _EPS
+        return w @ vt, rank_ok
 
     def constants(self, proj) -> AngleConstants:
         """Angle constants per sample from `project([H Y])`."""
@@ -283,17 +284,22 @@ def _check_dims(dataset: Dataset, model: GeodesicModel) -> None:
         raise DimensionMismatch(f"dataset has d={dataset.d} but model has d={model.d}")
 
 
+def _stacked(model: GeodesicModel) -> np.ndarray:
+    """Q = [H Y] of a model, d x 2k."""
+    return np.concatenate([model.H, model.Y], axis=1)
+
+
 def loss(dataset: Dataset, model: GeodesicModel) -> float:
     """Projection residual sum_i ||X_i - U(t_i) U(t_i)^T X_i||_F^2 (non-negative)."""
     _check_dims(dataset, model)
-    return _Columns(dataset).evaluate(model.H, model.Y, model.theta).loss
+    return _Columns(dataset).evaluate(_stacked(model), model.theta).loss
 
 
 def reconstruct(dataset: Dataset, model: GeodesicModel) -> list[np.ndarray]:
     """Per-sample projections U(t_i) (U(t_i)^T X_i) onto the model's subspaces."""
     _check_dims(dataset, model)
     columns = _Columns(dataset)
-    point = columns.evaluate(model.H, model.Y, model.theta, with_loss=False)
+    point = columns.evaluate(_stacked(model), model.theta, with_loss=False)
     return np.split(point.Q @ point.weighted, columns.starts[1:], axis=1)
 
 
@@ -312,15 +318,15 @@ def basis_update(dataset: Dataset, model: GeodesicModel) -> tuple[np.ndarray, np
     """
     _check_dims(dataset, model)
     columns = _Columns(dataset)
-    point = columns.evaluate(model.H, model.Y, model.theta, with_loss=False)
-    H, Y, rank_ok = columns.update_bases(point.weighted)
+    point = columns.evaluate(_stacked(model), model.theta, with_loss=False)
+    q, rank_ok = columns.update_bases(point.weighted)
     if not rank_ok:
         warnings.warn(
             "Procrustes target is numerically rank deficient; some basis columns are unconstrained by the data",
             RankCollapseWarning,
             stacklevel=2,
         )
-    return H, Y
+    return q[:, : model.k], q[:, model.k :]
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +380,18 @@ class _AngleStepper:
         return self.amp * s, self.limit * ratio
 
     def run(self, theta: np.ndarray, steps: int) -> np.ndarray:
-        """`steps` MM steps: theta_j moves by -(sum_i f'_ij) / (sum_i w_ij)."""
+        """`steps` MM steps: theta_j moves by -(sum_i f'_ij) / (sum_i w_ij).
+
+        Stops early at an exact fixed point: once a step returns theta bit
+        for bit, every later step would too, since `slopes` is deterministic.
+        """
         for _ in range(steps):
             deriv, weight = self.slopes(theta)
             num, den = deriv.sum(axis=0), weight.sum(axis=0)
-            theta = theta - np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+            stepped = theta - np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+            if stepped.tobytes() == theta.tobytes():
+                break
+            theta = stepped
         return theta
 
 
@@ -440,7 +453,7 @@ def _endpoint_basis(pool: np.ndarray, k: int) -> np.ndarray:
     d, n = pool.shape
     if k <= d <= n:
         values, vectors = np.linalg.eigh(pool @ pool.T)
-        if values[-k] > np.sqrt(np.finfo(float).eps) * values[-1]:
+        if values[-k] > np.sqrt(_EPS) * values[-1]:
             return _largest_entry_positive(vectors[:, : -k - 1 : -1])
     return principal_basis(pool, k)
 
@@ -478,12 +491,16 @@ def _initial_model(dataset: Dataset, init: InitStrategy) -> GeodesicModel:
 # Second-order step on the coupled blocks
 
 # A memory and time guard for a large k: the step forms and solves a dense
-# system of 2k^2 unknowns, at most this many, so k <= 22.  At k = 22 its
-# row-class stack takes 31 kB per data column (89 rows of 2N entries per
-# row class), and one normal-equation build and solve take about 45 ms at
-# N = 1000 on one core.  No fit in the tests or the benchmark comes near
-# it; the largest, at k = 8, has 128.
+# system of 2k^2 unknowns, at most this many, so k <= 22.  At k = 22 one
+# normal-equation build and solve take about 45 ms at N = 1000 on one core.
+# No fit in the tests or the benchmark comes near it; the largest, at k = 8,
+# has 128.
 _MAX_STEP_UNKNOWNS = 1024
+# The row-class stack takes 16k(4k + 1) bytes per data column (4.2 kB at
+# k = 8, 31 kB at k = 22), so its Grams are summed over column chunks of at
+# most this many bytes.  Every benchmark fit takes one chunk: the widest,
+# (k, N) = (8, 800), needs 3.4 MB.
+_STACK_BYTES = 8 << 20
 # Levenberg-Marquardt damping, relative to the largest Gauss-Newton curvature.
 _DAMPING_START = 1e-4
 _DAMPING_MIN = 1e-12
@@ -542,22 +559,30 @@ class _EdgeChart:
     origin, and k rows along the rest of span Q.  A step packs
     (upper triangle of A, dtheta) into one vector of 2k^2 unknowns.
 
-    The Jacobian is never formed: each row class of the residual (see
-    `_RowClasses`) fills one slab of `stack`, a k x (4k + 1) x 2N buffer
-    its caller owns, with the rows' Jacobian entries along the rest of
-    span Q (first N columns) and along U(t) (last N), up to sign.
+    The Jacobian is never formed: for n columns at a time, each row class
+    of the residual (see `_RowClasses`) fills one slab of a k x (4k + 1) x 2n
+    stack with the rows' Jacobian entries along the rest of span Q (first n
+    columns) and along U(t) (last n), up to sign.  `stack` is a buffer its
+    caller owns, k x (4k + 1) x 2w: the Grams of data wider than w columns
+    are summed over chunks of w.
 
     Q, Q^T X, cos(theta tau), sin(theta tau) and the loadings are those
     `_Columns.evaluate` computed at the iterate.
     """
 
     def __init__(self, point: _Point, tau: np.ndarray, stack: np.ndarray):
-        self.point, self.stack = point, stack
-        self.k = k = point.H.shape[1]
+        self.point, self.tau, self.stack = point, tau, stack
+        self.k = k = point.Q.shape[1] // 2
         self.classes = _row_classes(k)
+        self.e = point.cos * point.proj[k:] - point.sin * point.proj[:k]
+
+    def _fill(self, cols: slice) -> np.ndarray:
+        """The stack of the columns `cols`, k x (4k + 1) x 2n, in the front of the buffer."""
+        k, point, tau = self.k, self.point, self.tau[cols]
         n = tau.size
-        cos_all, sin_all, c, v = point.cos, point.sin, point.coords, point.weighted
-        self.e = e = cos_all * point.proj[k:] - sin_all * point.proj[:k]
+        stack = self.stack.reshape(-1)[: k * (4 * k + 1) * 2 * n].reshape(k, 4 * k + 1, 2 * n)
+        cos_all, sin_all, c, v = point.cos[:, cols], point.sin[:, cols], point.coords[:, cols], point.weighted[:, cols]
+        e = self.e[:, cols]
         # v = U(t) c and r = the rest of span Q times e, in Q coordinates.
         # Column x of Q moves row x mod k of each block: along U(t) by cs[x]
         # and along the rest of span Q by cd[x].  The skew generator
@@ -576,32 +601,37 @@ class _EdgeChart:
         # (along U(t), negated with its class).
         np.multiply(c, -tau, out=stack[:, 4 * k, :n])
         np.multiply(e, tau, out=stack[:, 4 * k, n:])
+        return stack
 
     def normal_equations(self):
         """Gauss-Newton matrix J^T J and gradient J^T r of the stacked residual.
 
-        One batched matmul gives every row class's Gram; they are signed and
-        summed into the 2k^2 x 2k^2 system.  Of the residual r only the rows
-        along the rest of span Q, e, are nonzero where J is: the rows along
-        U(t) vanish at the chart's origin.
+        One batched matmul per column chunk gives every row class's Gram;
+        they are signed and summed into the 2k^2 x 2k^2 system.  Of the
+        residual r only the rows along the rest of span Q, e, are nonzero
+        where J is: the rows along U(t) vanish at the chart's origin.
         """
-        classes, stack, n = self.classes, self.stack, self.e.shape[1]
-        grams = np.matmul(stack, stack.transpose(0, 2, 1))
+        classes, width = self.classes, self.stack.shape[2] // 2
+        grams = grads = 0.0
+        for start in range(0, self.tau.size, width):
+            cols = slice(start, start + width)
+            stack = self._fill(cols)
+            grams = grams + np.matmul(stack, stack.transpose(0, 2, 1))
+            grads = grads + np.matmul(stack[:, :, : stack.shape[2] // 2], self.e[:, cols, None])[:, :, 0]
         grams *= classes.sign2
-        grads = np.matmul(stack[:, :, :n], self.e[:, :, None])[:, :, 0] * classes.sign
+        grads *= classes.sign
         size = classes.size
         gram = np.bincount(classes.flat, weights=grams.ravel(), minlength=size * size).reshape(size, size)
         return gram, np.bincount(classes.unknown.ravel(), weights=grads.ravel(), minlength=size)
 
     def retract(self, step: np.ndarray):
-        """(H, Y, theta) after `step`: Q times the polar factor of I + A."""
+        """(Q, theta) after `step`: Q times the polar factor of I + A."""
         k, ia, ib = self.k, self.classes.ia, self.classes.ib
         A = np.zeros((2 * k, 2 * k))
         A[ia, ib] = step[: ia.size]
         A -= A.T
         u, _, vt = np.linalg.svd(np.eye(2 * k) + A)
-        q = self.point.Q @ (u @ vt)
-        return q[:, :k], q[:, k:], self.point.theta + step[ia.size :]
+        return self.point.Q @ (u @ vt), self.point.theta + step[ia.size :]
 
 
 class _EdgeStep:
@@ -617,7 +647,8 @@ class _EdgeStep:
         self.columns = columns
         # The chart's row-class stack, allocated once per fit like the
         # residual workspace: a fresh one per attempt costs page faults.
-        self.stack = np.empty((k, 4 * k + 1, 2 * columns.tau.size))
+        width = min(columns.tau.size, _STACK_BYTES // (16 * k * (4 * k + 1)))
+        self.stack = np.empty((k, 4 * k + 1, 2 * width))
         self.damping = _DAMPING_START
         self.raise_by = 2.0
 
@@ -655,14 +686,17 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
     """Fit a geodesic to the dataset by alternating the two block updates.
 
     Runs up to `outer_iters` outer iterations, each consisting of the
-    (H, Y) update (repeated `inner_basis_iters` times) followed by
-    five angle MM steps, and stops early once the relative loss
-    decrease over an outer iteration falls below `rel_loss_tol`.  Both
-    block updates are majorize-minimize steps, so the recorded loss trail
-    never increases; an outer iteration whose block updates fail to
-    descend numerically (possible only at the floating-point noise floor)
-    is reverted and treated as converged.  `FitReport.stop_reason` records
-    which of these ended the fit, or that the budget ran out.
+    (H, Y) update (repeated `inner_basis_iters` times) followed by up to
+    five angle MM steps, stopping at an exact fixed point, and stops early
+    once the relative loss decrease over an outer iteration falls below
+    `rel_loss_tol`.  Both block updates are majorize-minimize steps, so the
+    recorded loss trail never increases; an outer iteration whose block
+    updates fail to descend numerically (possible only at the
+    floating-point noise floor) is reverted and treated as converged.  If
+    that happens in the first iteration, the returned model is the initial
+    one, the same object unless `time_center` shifts it.
+    `FitReport.stop_reason` records which of these ended the fit, or that
+    the budget ran out.
 
     Every dataset, ragged or not, is fitted as one d x N column stack with
     a time per column: an outer iteration is a handful of GEMMs over the
@@ -696,22 +730,22 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
 
     columns = _Columns(work)
     edge = _EdgeStep(columns, model.k) if _step_system_fits(model.k) else None
-    point = columns.evaluate(model.H, model.Y, model.theta)
+    point = columns.evaluate(_stacked(model), model.theta)
     losses = [point.loss]
     stop_reason = "budget"
     iters_run = 0
     rank_collapsed = False
     for n in range(1, config.outer_iters + 1):
-        new_H, new_Y, rank_ok = columns.update_bases(point.weighted)
+        q, rank_ok = columns.update_bases(point.weighted)
         rank_collapsed |= not rank_ok
         for _ in range(config.inner_basis_iters - 1):
-            inner = columns.evaluate(new_H, new_Y, point.theta, with_loss=False)
-            new_H, new_Y, rank_ok = columns.update_bases(inner.weighted)
+            inner = columns.evaluate(q, point.theta, with_loss=False)
+            q, rank_ok = columns.update_bases(inner.weighted)
             rank_collapsed |= not rank_ok
-        proj = columns.project(np.concatenate([new_H, new_Y], axis=1))
+        proj = columns.project(q)
         constants = columns.constants(proj)
         new_theta = _AngleStepper(constants.r, constants.phi, work.times).run(point.theta, _ANGLE_MM_STEPS)
-        block = columns.evaluate(new_H, new_Y, new_theta, proj)
+        block = columns.evaluate(q, new_theta, proj)
         previous = point.loss
         iters_run = n
         if block.loss > previous:
@@ -733,7 +767,9 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
             stacklevel=2,
         )
 
-    model = GeodesicModel(point.H, point.Y, point.theta)
+    # With no iteration accepted, the initial model stands as validated.
+    if len(losses) > 1:
+        model = GeodesicModel(point.H, point.Y, point.theta)
     if t_center is not None and t_center != 0.0:
         model = model.shifted_origin(-t_center)
     trail = np.asarray(losses)

@@ -45,10 +45,13 @@ def require_basis(basis: np.ndarray, what: str = "basis") -> np.ndarray:
         raise DimensionMismatch(f"{what} must be tall with at least one column, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise NotOrthonormal(f"{what} has non-finite entries")
-    defect = gram_defect(b)
+    _check_defect(what, gram_defect(b))
+    return b
+
+
+def _check_defect(what: str, defect: float) -> None:
     if not defect <= ORTHO_TOL:
         raise NotOrthonormal(f"{what} columns are not orthonormal (defect {defect:.3e} > {ORTHO_TOL:.1e})")
-    return b
 
 
 def orthonormalize(matrix: np.ndarray) -> np.ndarray:
@@ -126,9 +129,16 @@ class GeodesicModel:
             raise DimensionMismatch(f"theta must have shape ({k},), got {theta.shape}")
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta must be finite")
-        require_basis(H, "H")
-        require_basis(Y, "Y")
-        cross = float(np.max(np.abs(H.T @ Y)))
+        q = np.concatenate([H, Y], axis=1)
+        if k < 1 or not np.all(np.isfinite(q)):
+            # Each of these raises on the first fault, in the order below.
+            require_basis(H, "H")
+            require_basis(Y, "Y")
+        # One Gram of [H Y] holds H^T H, Y^T Y and H^T Y.
+        offset = np.abs(q.T @ q - np.eye(2 * k))
+        _check_defect("H", float(np.max(offset[:k, :k])))
+        _check_defect("Y", float(np.max(offset[k:, k:])))
+        cross = float(np.max(offset[:k, k:]))
         if not cross <= ORTHO_TOL:
             raise NotTangent(f"H^T Y != 0 (max-abs {cross:.3e} > {ORTHO_TOL:.1e})")
         object.__setattr__(self, "H", _freeze(H))

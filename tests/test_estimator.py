@@ -126,6 +126,28 @@ def reference_mm_steps(r, phi, times, theta, steps):
     return theta
 
 
+def full_mm_steps(stepper, theta, steps):
+    """`steps` MM steps with `stepper.slopes`, as `_AngleStepper.run` takes them but with no early exit."""
+    for _ in range(steps):
+        deriv, weight = stepper.slopes(theta)
+        num, den = deriv.sum(axis=0), weight.sum(axis=0)
+        theta = theta - np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+    return theta
+
+
+def counting_slopes(stepper, slopes=None):
+    """Record every theta `stepper.slopes` is called at; `slopes` replaces the real one if given."""
+    calls = []
+    slopes = slopes or stepper.slopes
+
+    def counted(theta):
+        calls.append(theta)
+        return slopes(theta)
+
+    stepper.slopes = counted
+    return calls
+
+
 def reference_jacobian(point, tau):
     """The edge chart's Jacobian as two dense N x k x 2k^2 blocks, along the rest of span Q and along U(t).
 
@@ -169,7 +191,7 @@ def reference_directional(point, tau, step):
 
 def edge_chart(columns, model):
     """The step's chart at `model`, on a stack allocated as `fit` allocates it."""
-    point = columns.evaluate(model.H, model.Y, model.theta)
+    point = columns.evaluate(estimator._stacked(model), model.theta)
     return estimator._EdgeChart(point, columns.tau, estimator._EdgeStep(columns, model.k).stack)
 
 
@@ -199,7 +221,7 @@ def oracle_fit(dataset, model, config):
         if current > previous:
             return losses, n
         if edge is not None:
-            better = edge.improve(columns.evaluate(new_H, new_Y, new_theta))
+            better = edge.improve(columns.evaluate(np.concatenate([new_H, new_Y], axis=1), new_theta))
             if better is not None:
                 new_H, new_Y, new_theta = better.H, better.Y, better.theta
                 current = sample_loss(dataset, GeodesicModel(new_H, new_Y, new_theta))
@@ -255,12 +277,12 @@ class TestResidualWorkspace:
         for data in (uniform, ragged_dataset(71)):
             columns = estimator._Columns(data)
             first, second = (random_geodesic(data.d, 2, 1.0, seed=seed) for seed in (72, 73))
-            first_point = columns.evaluate(first.H, first.Y, first.theta)
+            first_point = columns.evaluate(estimator._stacked(first), first.theta)
             kept = first_point.weighted.copy()
-            second_point = columns.evaluate(second.H, second.Y, second.theta)
+            second_point = columns.evaluate(estimator._stacked(second), second.theta)
             np.testing.assert_array_equal(first_point.weighted, kept)
             for m, value in ((first, first_point.loss), (second, second_point.loss)):
-                assert value == estimator._Columns(data).evaluate(m.H, m.Y, m.theta).loss
+                assert value == estimator._Columns(data).evaluate(estimator._stacked(m), m.theta).loss
 
     def test_kept_gauss_newton_evaluation_survives_later_calls(self):
         # `fit` goes on from the evaluation of a kept step; a later
@@ -269,13 +291,13 @@ class TestResidualWorkspace:
         columns = estimator._Columns(data)
         edge = estimator._EdgeStep(columns, 2)
         m = random_geodesic(12, 2, 1.0, seed=74)
-        block = columns.evaluate(m.H, m.Y, m.theta)
+        block = columns.evaluate(estimator._stacked(m), m.theta)
         better = edge.improve(block)
         assert better is not None
         kept = better.weighted.copy()
-        block_again = columns.evaluate(m.H, m.Y, m.theta)
+        block_again = columns.evaluate(estimator._stacked(m), m.theta)
         np.testing.assert_array_equal(better.weighted, kept)
-        fresh = estimator._Columns(data).evaluate(better.H, better.Y, better.theta)
+        fresh = estimator._Columns(data).evaluate(better.Q, better.theta)
         np.testing.assert_array_equal(better.weighted, fresh.weighted)
         assert better.loss == fresh.loss < block.loss == block_again.loss
 
@@ -517,7 +539,8 @@ class TestAngleStep:
 
 
 class TestAngleStepOracle:
-    """The one-sine angle step against `reference_slopes`, the np.mod form it replaced."""
+    """The one-sine angle step against `reference_slopes`, the np.mod form it replaced,
+    and its early exit against `full_mm_steps`."""
 
     def case(self, seed, T=40, k=6):
         # |2 theta t - phi| up to 10 pi, negative times, a t = 0 row, an
@@ -552,6 +575,39 @@ class TestAngleStepOracle:
             r, phi, times, theta = self.case(90 + seed)
             stepped = estimator._AngleStepper(r, phi, times).run(theta, 5)
             np.testing.assert_allclose(stepped, reference_mm_steps(r, phi, times, theta, 5), rtol=1e-12)
+
+    def test_early_exit_is_bit_identical(self):
+        # Each case reaches an exact fixed point after 160-220 steps.  From
+        # the start, all five steps run; from two steps before the fixed
+        # point, three (the third returns theta unchanged); from the fixed
+        # point itself, one.
+        for seed in range(5):
+            r, phi, times, theta = self.case(90 + seed)
+            stepper = estimator._AngleStepper(r, phi, times)
+            path = [theta]
+            while len(path) < 400 and full_mm_steps(stepper, path[-1], 1).tobytes() != path[-1].tobytes():
+                path.append(full_mm_steps(stepper, path[-1], 1))
+            assert 100 < len(path) < 400
+            for start, calls_expected in ((theta, 5), (path[-3], 3), (path[-1], 1)):
+                expected = full_mm_steps(stepper, start, 5)
+                calls = counting_slopes(stepper)
+                assert np.array_equal(stepper.run(start, 5), expected)
+                assert len(calls) == calls_expected
+                del stepper.slopes
+            assert np.array_equal(stepper.run(path[-3], 5), path[-1])
+
+    def test_one_ulp_moves_run_every_step(self):
+        # A theta that moves by one ulp per step is not at a fixed point.
+        theta = np.array([0.7, -1.3, 0.0])
+        stepper = estimator._AngleStepper(np.ones((1, 3)), np.zeros((1, 3)), np.ones(1))
+        calls = counting_slopes(stepper, lambda t: (-np.spacing(t)[None, :], np.ones((1, t.size))))
+        stepped = stepper.run(theta, 5)
+        assert len(calls) == 5
+        assert np.array_equal(stepped, full_mm_steps(stepper, theta, 5))
+        expected = theta
+        for _ in range(5):
+            expected = np.nextafter(expected, np.copysign(np.inf, theta))
+        assert np.array_equal(stepped, expected)
 
 
 class TestFit:
@@ -628,12 +684,13 @@ class TestFit:
         inst = planted_instance(10, 2, 1, 8, 1e-2, 1.2, seed=31)
         away = orthonormal_complement(np.concatenate([inst.truth.H, inst.truth.Y], axis=1), 4)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimator._Columns, "update_bases", lambda self, weighted: (away[:, :2], away[:, 2:], True))
+            mp.setattr(estimator._Columns, "update_bases", lambda self, weighted: (away, True))
             report = fit(inst.dataset, EstimatorConfig(init=ProvidedInit(inst.truth), outer_iters=10))
         assert report.stop_reason == "non_descent" and report.converged
         assert report.outer_iters_run == 1
         np.testing.assert_array_equal(report.loss_per_outer_iter, [loss(inst.dataset, inst.truth)])
-        np.testing.assert_array_equal(report.model.H, inst.truth.H)
+        # No iteration was accepted: the caller's model comes back as it is.
+        assert report.model is inst.truth
 
     def test_inner_basis_iters_still_monotone(self):
         inst = planted_instance(16, 2, 1, 12, 1e-2, 1.4, seed=28)
@@ -693,7 +750,8 @@ class TestGaussNewtonStep:
         assert chart.classes.size == step.size == 2 * 2**2
 
         def residual(s):
-            model = GeodesicModel(*chart.retract(s * step))
+            q, theta = chart.retract(s * step)
+            model = GeodesicModel(q[:, :2], q[:, 2:], theta)
             return x - np.concatenate(reconstruct(inst.dataset, model), axis=1)
 
         h = 1e-6
@@ -728,6 +786,27 @@ class TestGaussNewtonStep:
             ref_gram, ref_grad = reference_normal_equations(chart.point, columns.tau)
             np.testing.assert_allclose(gram, ref_gram, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0.0)
+
+    def test_normal_equations_summed_over_column_chunks(self):
+        # k = 8 and 4000 columns: the stack holds 1985 of them, so the
+        # Grams are summed over three chunks, the last one of 30 columns.
+        data = planted_instance(20, 8, 100, 40, 0.1, 1.3, seed=85).dataset
+        columns = estimator._Columns(data)
+        chart = edge_chart(columns, random_geodesic(20, 8, 1.2, seed=86))
+        assert chart.stack.shape == (8, 33, 2 * 1985)
+        gram, grad = chart.normal_equations()
+        ref_gram, ref_grad = reference_normal_equations(chart.point, columns.tau)
+        np.testing.assert_allclose(gram, ref_gram, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0.0)
+
+    def test_stack_is_bounded(self):
+        # 20,000 columns at k = 8 would take 84 MB in one stack; the widest
+        # benchmark shape, (k, N) = (8, 800), still takes one chunk.
+        wide = estimator._Columns(planted_instance(16, 8, 100, 200, 0.1, 1.3, seed=87).dataset)
+        assert wide.tau.size == 20_000
+        assert estimator._EdgeStep(wide, 8).stack.nbytes <= estimator._STACK_BYTES
+        bench_wide = estimator._Columns(planted_instance(16, 8, 4, 200, 0.1, 1.3, seed=88).dataset)
+        assert estimator._EdgeStep(bench_wide, 8).stack.shape == (8, 33, 2 * 800)
 
     def test_trail_is_monotone_near_edge(self):
         shapes = ((12, 2, 3), (16, 3, 6), (20, 4, 8), (12, 2, 8), (16, 3, 12), (20, 4, 16))
@@ -766,7 +845,7 @@ class TestGaussNewtonStep:
             return evaluate(*point)
 
         columns.evaluate = counting
-        block = evaluate(m.H, m.Y, m.theta)
+        block = evaluate(estimator._stacked(m), m.theta)
         assert block.loss == loss(inst.dataset, m)
         step.improve(block)
         assert len(calls) == 1

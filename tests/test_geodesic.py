@@ -58,6 +58,35 @@ class TestGeodesicModel:
         with pytest.raises(error):
             GeodesicModel(parts["H"], parts["Y"], parts["theta"])
 
+    @pytest.mark.parametrize("row, col", [(0, 0), (0, 1), (1, 0)])
+    def test_one_off_tangent_entry_rejected(self, row, col):
+        # Orthonormal H and Y whose only fault is one entry of H^T Y just
+        # above ORTHO_TOL, on or off the diagonal.
+        H, Y = canonical_pair(6, 2)
+        Y[:, col] = np.cos(1e-7) * Y[:, col] + np.sin(1e-7) * H[:, row]
+        with pytest.raises(NotTangent, match=r"^H\^T Y != 0 \(max-abs 1\.000e-07 > 1\.0e-08\)$"):
+            GeodesicModel(H, Y, np.zeros(2))
+
+    def test_first_fault_is_reported(self):
+        # Faults are reported in a fixed order: H's shape, H's entries, H's
+        # Gram, then the same for Y, then tangency.
+        H, Y = canonical_pair(6, 2)
+        skewed, broken = H.copy(), Y.copy()
+        skewed[:, 1] = skewed[:, 0]
+        broken[0, 0] = np.nan
+        bad_h = (NotOrthonormal, r"^H columns are not orthonormal \(defect 1\.000e\+00 > 1\.0e-08\)$")
+        cases = [
+            (np.eye(6)[:, :0], np.eye(6)[:, :0], DimensionMismatch, r"^H must be tall with at least one column"),
+            (broken, Y, NotOrthonormal, r"^H has non-finite entries$"),
+            (skewed, broken, *bad_h),
+            (skewed, H, *bad_h),
+            (H, broken, NotOrthonormal, r"^Y has non-finite entries$"),
+            (H, skewed, NotOrthonormal, r"^Y columns are not orthonormal \(defect 1\.000e\+00 > 1\.0e-08\)$"),
+        ]
+        for first, second, error, message in cases:
+            with pytest.raises(error, match=message):
+                GeodesicModel(first, second, np.zeros(first.shape[1]))
+
     def test_non_finite_bases_rejected_by_constructions(self):
         U, _ = canonical_pair(6, 2)
         bad = U.copy()
