@@ -41,12 +41,13 @@ positive ones through the identity f(x; t, phi) = f(x; -t, -phi).
    leaves the iterates to steps 1-2 alone.
 
 The loss is a sum over data columns, so every dataset, ragged or not, is
-handled as one d x N column stack with a time per column (`_Columns`):
-the loss, both block updates, the step of 3. and the public functions
-built on them share that one kernel.  Its `evaluate` returns one record
-per point (`_Point`), which `fit` carries from iterate to iterate and the
-step linearises at.  The residual is formed explicitly, in one d x N
-workspace allocated with the stack.
+handled as its d x N column stack (`Dataset.column_stack`, not copied)
+with a time per column (`_Columns`): the loss, both block updates, the
+step of 3. and the public functions built on them share that one kernel.
+Its `evaluate` returns one record per point (`_Point`), which `fit`
+carries from iterate to iterate and the step linearises at.  The
+residual is formed explicitly, in one d x N workspace allocated with the
+kernel.
 """
 
 from __future__ import annotations
@@ -215,6 +216,7 @@ class _Columns:
 
     def __init__(self, dataset: Dataset):
         widths = [m.shape[1] for m in dataset.matrices]
+        # The dataset's own read-only stack: nothing here writes to it.
         self.x = dataset.column_stack()
         self.tau = np.repeat(dataset.times, widths)
         self.starts = np.cumsum([0, *widths[:-1]])
@@ -242,8 +244,7 @@ class _Columns:
         k = Q.shape[1] // 2
         angles = theta[:, None] * self.tau[None, :]
         cos_all, sin_all = np.cos(angles), np.sin(angles)
-        coords = cos_all * proj[:k] + sin_all * proj[k:]
-        weighted = np.concatenate([cos_all * coords, sin_all * coords])
+        coords, weighted = self.loadings(proj, cos_all, sin_all)
         value = None
         if with_loss:
             resid = np.matmul(Q, weighted, out=self.resid)
@@ -251,6 +252,13 @@ class _Columns:
             np.multiply(resid, resid, out=resid)
             value = float(resid.sum())
         return _Point(Q[:, :k], Q[:, k:], theta, Q, proj, cos_all, sin_all, coords, weighted, value)
+
+    @staticmethod
+    def loadings(proj, cos_all, sin_all):
+        """The loadings c = U(tau)^T x and [cos(theta tau) c; sin(theta tau) c] from proj = Q^T X."""
+        k = proj.shape[0] // 2
+        coords = cos_all * proj[:k] + sin_all * proj[k:]
+        return coords, np.concatenate([cos_all * coords, sin_all * coords])
 
     def update_bases(self, weighted):
         """Q = [H Y], the polar factor of the Procrustes target X weighted^T, and whether it kept full rank."""
@@ -739,8 +747,9 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
         q, rank_ok = columns.update_bases(point.weighted)
         rank_collapsed |= not rank_ok
         for _ in range(config.inner_basis_iters - 1):
-            inner = columns.evaluate(q, point.theta, with_loss=False)
-            q, rank_ok = columns.update_bases(inner.weighted)
+            # theta stays at point.theta here, and so do its cosines and sines.
+            _, weighted = columns.loadings(columns.project(q), point.cos, point.sin)
+            q, rank_ok = columns.update_bases(weighted)
             rank_collapsed |= not rank_ok
         proj = columns.project(q)
         constants = columns.constants(proj)

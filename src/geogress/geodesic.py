@@ -101,6 +101,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _path(H: np.ndarray, Y: np.ndarray, theta: np.ndarray, times) -> np.ndarray:
+    """H cos(theta t) + Y sin(theta t) for each t of `times`, shape (len(times), rows, k).
+
+    H and Y may be written in any orthonormal coordinates, not only the
+    ambient ones.
+    """
+    a = np.multiply.outer(np.asarray(times, dtype=float), theta)
+    return H[None, :, :] * np.cos(a)[:, None, :] + Y[None, :, :] * np.sin(a)[:, None, :]
+
+
 @dataclass(frozen=True)
 class GeodesicModel:
     """Immutable (H, Y, theta) triple describing a subspace geodesic.
@@ -160,8 +170,7 @@ class GeodesicModel:
 
     def evaluate_path(self, times: np.ndarray) -> np.ndarray:
         """Stack of bases over `times`, shape (len(times), d, k)."""
-        a = np.multiply.outer(np.asarray(times, dtype=float), self.theta)
-        return self.H[None, :, :] * np.cos(a)[:, None, :] + self.Y[None, :, :] * np.sin(a)[:, None, :]
+        return _path(self.H, self.Y, self.theta, times)
 
     def shifted_origin(self, t0: float) -> GeodesicModel:
         """Reparameterize so time s on the result matches time t0 + s here.

@@ -1,5 +1,7 @@
 """Dataset construction rules and the two text file formats."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,48 @@ class TestDataset:
     def test_empty_rejected(self):
         with pytest.raises(DimensionMismatch):
             Dataset(np.array([]), ())
+
+    def test_samples_are_read_only_views_of_one_stack(self):
+        mats = (np.arange(8.0).reshape(4, 2), np.full((4, 1), -1.5), np.arange(12).reshape(4, 3))
+        ds = Dataset([0.0, 0.5, 1.0], mats)
+        stack = ds.column_stack()
+        assert np.array_equal(stack, np.concatenate(mats, axis=1))
+        assert ds.column_stack() is stack
+        for got, want in zip(ds.matrices, mats):
+            assert np.array_equal(got, want) and got.dtype == float
+            assert np.shares_memory(got, stack)
+        for arr in (stack, ds.times, *ds.matrices):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_later_writes_to_inputs_do_not_reach_the_dataset(self):
+        times = np.array([0.0, 1.0])
+        mats = [np.ones((3, 2)), np.ones((3, 1))]
+        ds = Dataset(times, tuple(mats))
+        times[0] = 0.5
+        mats[0][:] = 9.0
+        mats[1][:] = 9.0
+        assert np.array_equal(ds.times, [0.0, 1.0])
+        assert np.array_equal(ds.column_stack(), np.ones((3, 3)))
+
+    def test_validation_order_across_samples(self):
+        nan_first = np.ones((4, 1))
+        nan_first[0, 0] = np.nan
+        # Sample 0's entries are checked before sample 1's dimension...
+        with pytest.raises(ValueError, match="^sample 0 has non-finite entries$"):
+            Dataset(np.array([0.0, 1.0]), (nan_first, np.ones((5, 1))))
+        # ...and sample 1's dimension before sample 2's entries.
+        with pytest.raises(DimensionMismatch, match="^sample 1 has ambient dimension 5, expected 4$"):
+            Dataset(np.array([0.0, 0.5, 1.0]), (np.ones((4, 1)), np.ones((5, 1)), nan_first))
+
+    def test_complex_input_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="times"):
+                Dataset(np.array([0.0, 1.0j]), (np.ones((2, 1)), np.ones((2, 1))))
+            with pytest.raises(ValueError, match="sample 1"):
+                Dataset([0.0, 1.0], (np.ones((2, 1)), np.array([[1j], [2]])))
 
     def test_with_times_shifts_only_times(self):
         ds = Dataset(np.array([0.0, 1.0]), (np.ones((4, 1)), np.zeros((4, 1))))
@@ -150,6 +194,9 @@ class TestDatasetFiles:
         save_dataset(ds, path)
         loaded = load_dataset(path)
         assert [m.shape for m in loaded.matrices] == [(3, 2), (3, 1), (3, 4)]
+        for got, want in zip(loaded.matrices, ds.matrices):
+            assert np.array_equal(got, want)
+        assert np.array_equal(loaded.column_stack(), ds.column_stack())
 
     def test_inconsistent_dimension_rejected(self, tmp_path):
         path = tmp_path / "data.txt"

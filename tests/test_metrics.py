@@ -63,7 +63,33 @@ class TestSubspaceError:
             subspace_error(np.eye(4)[:, :2], np.eye(4)[:, :1])
 
 
+def ambient_geodesic_error(m1, m2, n_quad=201):
+    """The d-dimensional formula geodesic_error used before it moved to span coordinates."""
+    grid = np.linspace(0.0, 1.0, n_quad)
+    p1 = m1.evaluate_path(grid)
+    p2 = m2.evaluate_path(grid)
+    cross = np.einsum("ndk,ndm->nkm", p2, p1)
+    resid = p1 - np.einsum("ndk,nkm->ndm", p2, cross)
+    return math.sqrt(float(np.mean(np.sum(resid * resid, axis=(1, 2)) / m1.k)))
+
+
 class TestGeodesicError:
+    # (6, 3) has 4k > d: the span coordinates are then all d of them.
+    SHAPES = ((6, 3), (5, 1), (40, 8), (200, 8))
+
+    def test_matches_ambient_formula(self):
+        for d, k in self.SHAPES:
+            for trial in range(5):
+                a = random_geodesic(d, k, 1.5, seed=1000 + trial)
+                b = random_geodesic(d, k, 1.5, seed=2000 + trial)
+                assert abs(geodesic_error(a, b) - ambient_geodesic_error(a, b)) <= 1e-14, (d, k, trial)
+
+    def test_identical_models_have_zero_error(self):
+        for d, k in self.SHAPES:
+            for trial in range(5):
+                m = random_geodesic(d, k, 1.5, seed=3000 + trial)
+                assert geodesic_error(m, m) <= 1e-15, (d, k, trial)
+
     def test_canonicalized_model_has_zero_error(self):
         m = random_geodesic(8, 2, 1.4, seed=5)
         assert geodesic_error(m, m.canonicalize()) <= 1e-10
@@ -90,7 +116,11 @@ class TestGeodesicError:
     def test_symmetry(self):
         a = random_geodesic(10, 2, 1.2, seed=6)
         b = random_geodesic(10, 2, 1.2, seed=7)
-        assert geodesic_error(a, b) == pytest.approx(geodesic_error(b, a), abs=1e-12)
+        assert geodesic_error(a, b) == pytest.approx(geodesic_error(b, a), abs=1e-15)
+        for d, k in self.SHAPES:
+            a = random_geodesic(d, k, 1.2, seed=4000 + d)
+            b = random_geodesic(d, k, 1.2, seed=5000 + d)
+            assert abs(geodesic_error(a, b) - geodesic_error(b, a)) <= 1e-15, (d, k)
 
     def test_quadrature_converged_at_default_resolution(self):
         for trial in range(10):
@@ -130,6 +160,15 @@ class TestDataError:
             sum(np.sum(c * c) for c in clean)
         )
         assert data_error(rec, clean) == pytest.approx(expected, rel=1e-12)
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(DimensionMismatch, match="at least one sample"):
+            data_error([], [])
+
+    def test_zero_clean_norm_rejected(self):
+        zeros = [np.zeros((4, 2)), np.zeros((4, 1))]
+        with pytest.raises(ValueError, match="clean data has zero norm"):
+            data_error([np.ones((4, 2)), np.ones((4, 1))], zeros)
 
 
 class TestPsnr:
