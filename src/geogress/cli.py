@@ -7,6 +7,7 @@ inputs, spec violations), 2 on I/O failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields, replace
@@ -172,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pw.add_argument("--data", required=True)
     p_pw.add_argument("--knots", required=True, help="comma-separated knot times, e.g. 0,0.5,1")
     p_pw.add_argument("--k", type=int, required=True)
-    p_pw.add_argument("--lambdas", type=_float_list, default=[0.0, 1.0, 10.0, 100.0, 1000.0])
+    p_pw.add_argument("--lambdas", type=_float_list, default=(0.0, 1.0, 10.0, 100.0, 1000.0))
     _add_init_flags(p_pw)
     p_pw.add_argument("--out", required=True)
     p_pw.add_argument("--models-out", default=None, help="prefix for saving final segment models")
@@ -182,10 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits on --help (0) and bad flags (2)
         code = exc.code if exc.code is not None else 0
         return 0 if code == 0 else 1

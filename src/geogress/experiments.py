@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -226,10 +227,11 @@ def landscape_rows(data: Dataset, omega_steps: int, theta_steps: int, time_cente
     omega_grid = np.linspace(-np.pi / 2, np.pi / 2, omega_steps)
     theta_grid = np.linspace(-np.pi, np.pi, theta_steps)
     surface = loss_surface_2d(data, omega_grid, theta_grid)
+    thetas = theta_grid.tolist()
     surface_rows = [
-        [i * theta_grid.size + j, omega, theta, surface[i, j]]
-        for i, omega in enumerate(omega_grid)
-        for j, theta in enumerate(theta_grid)
+        [i * theta_grid.size + j, omega, theta, loss]
+        for i, (omega, losses) in enumerate(zip(omega_grid.tolist(), surface.tolist()))
+        for j, (theta, loss) in enumerate(zip(thetas, losses))
     ]
     iterate_rows = []
     if config is not None:
@@ -301,9 +303,45 @@ def _format_value(value) -> str:
     return repr(float(value))
 
 
+# Rows formatted together: a bound on format_csv's working memory.
+_CHUNK_ROWS = 4096
+# Formatters that write a value of exactly this type as `_format_value` does.
+_EXACT_FORMAT = {str: str, int: repr, float: repr}
+
+
+def _format_column(values: list) -> list[str]:
+    """`_format_value` of each value, each distinct value formatted once.
+
+    Equal values of one type format alike, apart from the two float zeros,
+    so only a column of one scalar type shares its strings, and zeros are
+    formatted where they stand.  A NaN matches only itself.
+    """
+    kinds = set(map(type, values))
+    kind = kinds.pop()
+    if kinds or not issubclass(kind, (str, int, float, np.generic)):
+        return list(map(_format_value, values))
+    fmt = _EXACT_FORMAT.get(kind, _format_value)
+    strings = {v: fmt(v) for v in dict.fromkeys(values) if v}
+    return [strings[v] if v else fmt(v) for v in values]
+
+
+def _format_rows(rows: list) -> list[str]:
+    """One CSV line per row; the columns of equal-length rows are formatted together."""
+    widths = set(map(len, rows))
+    if len(widths) > 1 or 0 in widths:
+        return [",".join(map(_format_value, row)) for row in rows]
+    # Columns by itemgetter rather than zip(*rows), which would make one
+    # iterator per row and so wake the garbage collector every few hundred rows.
+    columns = (_format_column(list(map(itemgetter(c), rows))) for c in range(len(rows[0])))
+    return list(map(",".join, zip(*columns)))
+
+
 def format_csv(header: list[str], rows) -> str:
+    """Header line plus one line per row (a sequence), each value as `_format_value` writes it."""
     lines = [",".join(header)]
-    lines.extend(",".join(_format_value(v) for v in row) for row in rows)
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        lines.extend(_format_rows(chunk))
     return "\n".join(lines) + "\n"
 
 

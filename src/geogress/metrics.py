@@ -29,6 +29,8 @@ def subspace_error(U: np.ndarray, V: np.ndarray) -> float:
     V = np.asarray(V, dtype=float)
     if U.shape != V.shape:
         raise DimensionMismatch(f"bases must share a shape, got {U.shape} vs {V.shape}")
+    if U.ndim != 2 or U.shape[1] == 0:
+        raise DimensionMismatch(f"bases must be d x k matrices with k >= 1, got shape {U.shape}")
     k = U.shape[1]
     resid = _outside_span(U, V)
     return math.sqrt(float(np.sum(resid * resid)) / k)
@@ -91,6 +93,8 @@ def psnr(reconstructed: np.ndarray, clean: np.ndarray) -> float:
     xc = np.asarray(clean, dtype=float)
     if xr.shape != xc.shape:
         raise DimensionMismatch(f"frame shapes differ: {xr.shape} vs {xc.shape}")
+    if xc.size == 0:
+        raise DimensionMismatch(f"frames must hold at least one pixel, got shape {xc.shape}")
     rmse = math.sqrt(float(np.mean((xc - xr) ** 2)))
     if rmse == 0.0:
         return math.inf

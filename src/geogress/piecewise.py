@@ -120,16 +120,46 @@ def continuity_gap(model: PiecewiseModel) -> np.ndarray:
     return np.asarray(gaps)
 
 
-def penalized_objective(segment_data: list[Dataset], segments: list[GeodesicModel], lam: float) -> float:
-    """Data residual plus lambda times the interior-knot continuity penalty."""
-    total = sum(loss(sd, seg) for sd, seg in zip(segment_data, segments))
+def _reused(memo: dict, key, models: tuple, compute):
+    """memo[key]'s value if it was computed from these very model objects, else compute() stored under key.
+
+    Models are immutable, so an entry stays valid while its models are the
+    same objects.  The entry keeps them, so none can be freed and its id
+    reused while the entry stands.
+    """
+    entry = memo.get(key)
+    if entry is None or any(old is not new for old, new in zip(entry[0], models)):
+        entry = memo[key] = (models, compute())
+    return entry[1]
+
+
+def _knot_gap(left: GeodesicModel, right: GeodesicModel) -> float:
+    """k - ||U^T V||_F^2 at a knot, in its residual form ||U - V V^T U||_F^2,
+    which stays non-negative and accurate when the gap closes."""
+    u, v = left.evaluate(1.0), right.evaluate(0.0)
+    resid = u - v @ (v.T @ u)
+    return float(np.sum(resid * resid))
+
+
+def penalized_objective(
+    segment_data: list[Dataset], segments: list[GeodesicModel], lam: float, memo: dict | None = None
+) -> float:
+    """Data residual plus lambda times the interior-knot continuity penalty.
+
+    `memo`, a dict that one caller keeps across calls with the same
+    `segment_data`, holds every segment's loss and every knot's gap with
+    the model objects they came from; a term is recomputed only when one of
+    its models is a different object.  The sum is the same either way.
+    """
+    memo = {} if memo is None else memo
+    total = sum(
+        _reused(memo, ("loss", j), (seg,), lambda: loss(sd, seg))
+        for j, (sd, seg) in enumerate(zip(segment_data, segments))
+    )
     if lam > 0:
         for j in range(len(segments) - 1):
-            # k - ||U^T V||_F^2 in its residual form ||U - V V^T U||_F^2,
-            # which stays non-negative and accurate when the gap closes.
-            u, v = segments[j].evaluate(1.0), segments[j + 1].evaluate(0.0)
-            resid = u - v @ (v.T @ u)
-            total += lam * float(np.sum(resid * resid))
+            pair = (segments[j], segments[j + 1])
+            total += lam * _reused(memo, ("gap", j), pair, lambda: _knot_gap(*pair))
     return total
 
 
@@ -180,6 +210,11 @@ def fit_piecewise(
     starting from its current model, until the penalized objective stalls
     (same relative rule as the inner fits) or `max_sweeps` is reached.
     Lambda must be finite and >= 0.
+
+    A refit that accepts no iteration returns its initial model object, so
+    a segment's augmented data, its refit config and the objective's terms
+    are rebuilt only when a model they depend on is a new object; every
+    refit sees the same inputs as with everything rebuilt.
     """
     check_setting("lambda", lam, 0)
     knots = np.asarray(knots, dtype=float)
@@ -193,17 +228,25 @@ def fit_piecewise(
             raise DimensionMismatch(f"{J} segments required, got {len(init_segments)} initial models")
         segments = list(init_segments)
 
-    objectives = [penalized_objective(segment_data, segments, lam)]
+    # The objective's terms, and each segment's refit data and config, with
+    # the model objects each was built from.
+    memo: dict = {}
+    objectives = [penalized_objective(segment_data, segments, lam, memo)]
     converged = lam == 0.0 and init_segments is None
     sweeps = 1
     if not converged:
         for sweep in range(2, max_sweeps + 1):
             order = range(J) if sweep % 2 == 0 else range(J - 1, -1, -1)
             for j in order:
-                data_j = _augmented(segment_data[j], j, segments, lam) if lam > 0 else segment_data[j]
-                cfg_j = replace(config, init=ProvidedInit(segments[j]))
+                data_j = segment_data[j]
+                if lam > 0:
+                    neighbours = tuple(segments[i] for i in (j - 1, j + 1) if 0 <= i < J)
+                    data_j = _reused(memo, ("data", j), neighbours,
+                                     lambda: _augmented(segment_data[j], j, segments, lam))
+                cfg_j = _reused(memo, ("config", j), (segments[j],),
+                                lambda: replace(config, init=ProvidedInit(segments[j])))
                 segments[j] = fit(data_j, cfg_j).model
-            objectives.append(penalized_objective(segment_data, segments, lam))
+            objectives.append(penalized_objective(segment_data, segments, lam, memo))
             sweeps = sweep
             previous, current = objectives[-2], objectives[-1]
             if (previous - current) < config.rel_loss_tol * max(previous, _TINY):

@@ -11,7 +11,7 @@ from geogress import (
     EndpointsInit, EstimatorConfig, ExperimentSpec, InvalidSpec, RandomInit, load_dataset, load_model, planted_instance,
     run_experiment, save_dataset,
 )
-from geogress import estimator
+from geogress import cli, estimator, experiments
 from geogress.cli import build_parser, main
 from geogress.experiments import (
     _ESTIMATOR_OPTIONS, _INIT_SALT, LANDSCAPE_HEADER, PIECEWISE_HEADER, STANDARD_HEADER, _trial_config,
@@ -275,10 +275,58 @@ class TestRunExperiment:
         assert gaps[1] <= gaps[0] + 1e-12
 
 
+def reference_format_csv(header, rows):
+    """The per-cell formatter that format_csv replaced, kept as the reference."""
+
+    def cell(value):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return repr(float(value))
+
+    lines = [",".join(header)]
+    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 class TestFormatCsv:
     def test_value_formatting(self):
         text = format_csv(["a", "b", "c"], [["x", 3, 0.25], ["y", np.int64(4), float("nan")]])
         assert text == "a,b,c\nx,3,0.25\ny,4,nan\n"
+
+    @pytest.mark.parametrize("column", [
+        [0.0, -0.0, float("nan"), float("inf"), float("-inf"), -0.0, 0.0, float("nan"), 2.5, 2.5],
+        [1, 1.0, 1, 1.0, 0, 0.0, -0.0, True, False],
+        [np.int64(3), np.int64(3), np.int64(0), np.int64(-7)],
+        [np.float64(0.1), np.float64(0.1), np.float64(-0.0), np.float64(0.0), np.float64("nan")],
+        [np.float32(0.1), np.float32(0.1), np.float32(-0.0), np.float32(0.0), np.float32(2.0)],
+        [np.float32(0.1), 0.1, np.float64(0.1), np.float32(0.5), 0.5],
+        ["a", "", "a", "b,c", ""],
+    ], ids=["special-floats", "int-and-float", "int64", "float64", "float32", "float32-next-to-float",
+            "strings"])
+    def test_matches_per_cell_formatter(self, column):
+        # Values equal under == but written differently share one column.
+        rows = [[i, value, value] for i, value in enumerate(column)]
+        assert format_csv(["i", "a", "b"], rows) == reference_format_csv(["i", "a", "b"], rows)
+
+    def test_rows_from_a_generator(self):
+        rows = [[i % 3, i * 0.5, "x"] for i in range(10)]
+        assert format_csv(["a", "b", "c"], (row for row in rows)) == reference_format_csv(["a", "b", "c"], rows)
+
+    def test_header_only(self):
+        assert format_csv(["a", "b"], []) == reference_format_csv(["a", "b"], []) == "a,b\n"
+
+    def test_rows_of_different_lengths(self):
+        rows = [[1, 2.0], [3], [], ["x", -0.0, 4]]
+        assert format_csv(["a"], rows) == reference_format_csv(["a"], rows)
+
+    def test_table_longer_than_one_chunk(self):
+        # Repeats and both zeros on each side of every chunk boundary.
+        n = 2 * experiments._CHUNK_ROWS + 3
+        cycle = [0.0, -0.0, 1.5, float("nan"), 7]
+        rows = [[i, cycle[i % 5], float(i % 11) - 5.0, "s" * (i % 2)] for i in range(n)]
+        assert format_csv(["i", "a", "b", "c"], rows) == reference_format_csv(["i", "a", "b", "c"], rows)
 
 
 class TestCli:
@@ -579,6 +627,26 @@ class TestCli:
             for name, sub in commands.choices.items()
         }
         assert found == expected
+
+    def test_reused_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
+        data = tmp_path / "data.txt"
+        save_dataset(planted_instance(6, 1, 1, 8, 0.01, 1.0, 2).dataset, data)
+        stages = tmp_path / "stages.csv"
+        piecewise = ["piecewise", "--data", str(data), "--knots", "0,0.5,1", "--k", "1",
+                     "--outer-iters", "5", "--out", str(stages)]
+        fit = ["fit", "--data", str(data), "--k", "1", "--rel-loss-tol", "0"]
+        assert main([*piecewise, "--lambdas", "0,1"]) == 0
+        assert main(piecewise) == 0
+        default_lambdas = build_parser().parse_args(piecewise).lambdas
+        assert [float(line.split(",")[1]) for line in stages.read_text().splitlines()[1:]] == list(default_lambdas)
+        assert main([*fit, "--outer-iters", "3"]) == 0
+        assert main(fit) == 0
+        assert "outer_iters=3 " in capsys.readouterr().out
+        for argv in (piecewise, fit):
+            reused = vars(cli._parser().parse_args(argv))
+            assert reused == vars(build_parser().parse_args(argv))
+        assert reused["outer_iters"] is None
+        assert estimator_config(reused, 1, 0).outer_iters == EstimatorConfig(init=RandomInit(1)).outer_iters
 
     def test_validation_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -1,6 +1,8 @@
 """Metric definitions against small-case oracles."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +63,12 @@ class TestSubspaceError:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             subspace_error(np.eye(4)[:, :2], np.eye(4)[:, :1])
+
+    @pytest.mark.parametrize("shape", [(4, 0), (4,), (0,)])
+    def test_non_bases_rejected_with_their_shape(self, shape):
+        # k = 0 used to divide by zero, and 1-D input to index a missing axis.
+        with pytest.raises(DimensionMismatch, match=re.escape(str(shape))):
+            subspace_error(np.zeros(shape), np.zeros(shape))
 
 
 def ambient_geodesic_error(m1, m2, n_quad=201):
@@ -189,3 +197,9 @@ class TestPsnr:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             psnr(np.zeros((4, 4)), np.zeros((4, 5)))
+
+    def test_empty_frames_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match=re.escape("(0, 3)")):
+                psnr(np.zeros((0, 3)), np.zeros((0, 3)))

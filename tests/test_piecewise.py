@@ -23,9 +23,12 @@ from geogress import (
     static_as_geodesic,
     subspace_error,
 )
-from geogress import piecewise
+from dataclasses import replace
+
+from geogress import EndpointsInit, piecewise
 from geogress.cli import main
-from geogress.piecewise import PiecewiseModel
+from geogress.estimator import ProvidedInit
+from geogress.piecewise import PiecewiseFitReport, PiecewiseModel
 
 KNOTS = np.array([0.0, 0.5, 1.0])
 
@@ -239,3 +242,119 @@ class TestPenalizedFitting:
             + lam * (2 - float(np.sum((segments[0].evaluate(1.0).T @ segments[1].evaluate(0.0)) ** 2)))
         )
         assert penalized_objective(seg_data, segments, lam) == pytest.approx(expected, rel=1e-12)
+
+
+def ragged_two_segment_instance(seed, d=12, k=2, ell_max=3, T=24, sigma=1e-3):
+    """The benchmark's CLI-session data: two segments whose samples hold 1..ell_max columns."""
+    data, _, _, _ = planted_piecewise_instance(d, k, ell_max, T, sigma, 1.0, seed)
+    half = np.tile(np.arange(1, ell_max + 1), T // (2 * ell_max))
+    rng = np.random.default_rng(seed)
+    ells = np.concatenate([rng.permutation(half), rng.permutation(half)])
+    return Dataset(data.times, tuple(m[:, :e] for m, e in zip(data.matrices, ells)))
+
+
+def rebuilding_fit_piecewise(dataset, knots, lam, config, init_segments=None, max_sweeps=50):
+    """The sweep loop before reuse: every refit rebuilds its data, config and objective terms."""
+    segment_data = split_by_knots(dataset, knots)
+    J = len(segment_data)
+    if init_segments is None:
+        segments = [piecewise.fit(sd, config).model for sd in segment_data]
+    else:
+        segments = list(init_segments)
+    objectives = [penalized_objective(segment_data, segments, lam)]
+    converged = lam == 0.0 and init_segments is None
+    sweeps = 1
+    if not converged:
+        for sweep in range(2, max_sweeps + 1):
+            order = range(J) if sweep % 2 == 0 else range(J - 1, -1, -1)
+            for j in order:
+                data_j = piecewise._augmented(segment_data[j], j, segments, lam) if lam > 0 else segment_data[j]
+                cfg_j = replace(config, init=ProvidedInit(segments[j]))
+                segments[j] = piecewise.fit(data_j, cfg_j).model
+            objectives.append(penalized_objective(segment_data, segments, lam))
+            sweeps = sweep
+            previous, current = objectives[-2], objectives[-1]
+            if (previous - current) < config.rel_loss_tol * max(previous, np.finfo(float).tiny):
+                converged = True
+                break
+    return PiecewiseFitReport(PiecewiseModel(knots, tuple(segments)), np.asarray(objectives), sweeps, converged)
+
+
+class TestSweepReuse:
+    """Refits reuse the data, config and objective terms whose models did not change."""
+
+    LAMBDAS = (0.0, 1.0, 10.0, 100.0)
+
+    @staticmethod
+    def schedule(fit_stage, data, cfg, lambdas):
+        reports, segments = [], None
+        for lam in lambdas:
+            reports.append(fit_stage(data, KNOTS, lam, cfg, init_segments=segments))
+            segments = reports[-1].model.segments
+        return reports
+
+    @staticmethod
+    def fit_input(dataset, cfg):
+        init = cfg.init
+        start = [init.model.H, init.model.Y, init.model.theta] if isinstance(init, ProvidedInit) else [init]
+        return [dataset.times, dataset.column_stack(), *start, replace(cfg, init=None)]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_fits_and_stages_as_the_rebuilding_loop(self, seed, monkeypatch):
+        data = ragged_two_segment_instance(seed)
+        cfg = EstimatorConfig(init=EndpointsInit(2), outer_iters=10, rel_loss_tol=0.0)
+        calls, augmented = [], []
+
+        def recorded_fit(dataset, config):
+            calls.append(self.fit_input(dataset, config))
+            return fit(dataset, config)
+
+        def counted_augmented(*args):
+            augmented.append(args[1])
+            return piecewise_augmented(*args)
+
+        piecewise_augmented = piecewise._augmented
+        monkeypatch.setattr(piecewise, "fit", recorded_fit)
+        monkeypatch.setattr(piecewise, "_augmented", counted_augmented)
+        reused = self.schedule(fit_piecewise, data, cfg, self.LAMBDAS)
+        reused_calls, reused_builds = calls[:], len(augmented)
+        calls.clear()
+        rebuilt = self.schedule(rebuilding_fit_piecewise, data, cfg, self.LAMBDAS)
+        rebuilt_builds = len(augmented) - reused_builds
+
+        assert len(reused_calls) == len(calls)
+        for new, old in zip(reused_calls, calls):
+            for a, b in zip(new, old):
+                if isinstance(a, np.ndarray):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                else:
+                    assert a == b
+        for new, old in zip(reused, rebuilt):
+            assert new.objective_per_sweep.tobytes() == old.objective_per_sweep.tobytes()
+            assert (new.sweeps_run, new.converged) == (old.sweeps_run, old.converged)
+            for a, b in zip(new.model.segments, old.model.segments):
+                for x, y in ((a.H, b.H), (a.Y, b.Y), (a.theta, b.theta)):
+                    assert x.tobytes() == y.tobytes()
+        # Refits that accept no iteration leave their model object in place,
+        # so some augmented datasets are reused rather than rebuilt.
+        assert reused_builds < rebuilt_builds
+
+    def test_objective_terms_recomputed_only_for_new_models(self, monkeypatch):
+        data, truths, knots, _ = planted_piecewise_instance(10, 2, 1, 9, 0.1, 1.2, seed=14)
+        seg_data = split_by_knots(data, knots)
+        losses = []
+
+        def counted_loss(dataset, model):
+            losses.append(model)
+            return loss(dataset, model)
+
+        monkeypatch.setattr(piecewise, "loss", counted_loss)
+        memo = {}
+        first = penalized_objective(seg_data, list(truths), 3.0, memo)
+        assert first == penalized_objective(seg_data, list(truths), 3.0)
+        assert penalized_objective(seg_data, list(truths), 3.0, memo) == first
+        assert len(losses) == 4
+        moved = random_geodesic(10, 2, 1.0, seed=3)
+        value = penalized_objective(seg_data, [truths[0], moved], 3.0, memo)
+        assert len(losses) == 5 and losses[4] is moved
+        assert value == penalized_objective(seg_data, [truths[0], moved], 3.0)
