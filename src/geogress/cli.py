@@ -38,7 +38,6 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--outer-iters", type=int, help="outer iteration budget")
     parser.add_argument("--inner-basis-iters", type=int, help="basis updates per outer iteration")
     parser.add_argument("--rel-loss-tol", type=float, help="relative stopping tolerance")
-    parser.add_argument("--time-center", type=float, help="recenter times about this point while fitting")
 
 
 def _add_init_flags(parser: argparse.ArgumentParser) -> None:
@@ -166,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_land.add_argument("--init-theta-max", type=float, help="largest angle of the random init")
     p_land.add_argument("--out", required=True)
     p_land.add_argument("--iterates-out", default=None, help="also record fit iterates here")
+    p_land.add_argument("--time-center", type=float, help="recenter times about this point first")
     _add_estimator_flags(p_land)
     p_land.set_defaults(func=_cmd_landscape)
 

@@ -24,8 +24,8 @@ steps, neither of which can increase the loss:
 
 Samples at t_i = 0 contribute a term constant in theta (their curvature
 weight is undefined), so they are excluded from the angle sums.  Negative
-times, which arise when the time axis is recentered, are folded back to
-positive ones through the identity f(x; t, phi) = f(x; -t, -phi).
+times, as on data recentred by `landscape.recenter_times`, are folded back
+to positive ones through the identity f(x; t, phi) = f(x; -t, -phi).
 
 3. Block descent crawls wherever the two blocks are strongly coupled: near
    the parameter-counting edge N = 2k (N data columns in all), and at low
@@ -91,6 +91,11 @@ class RandomInit:
             check_count("seed", self.seed, 0)
 
 
+def _check_pool_fraction(pool_fraction: float) -> None:
+    if not 0.0 < pool_fraction <= 0.5:
+        raise ValueError(f"pool_fraction must lie in (0, 0.5], got {pool_fraction}")
+
+
 @dataclass(frozen=True)
 class EndpointsInit:
     """Start from the geodesic connecting coarse endpoint subspace estimates."""
@@ -100,8 +105,7 @@ class EndpointsInit:
 
     def __post_init__(self) -> None:
         check_count("k", self.k, 1)
-        if not 0.0 < self.pool_fraction <= 0.5:
-            raise ValueError("pool_fraction must lie in (0, 0.5]")
+        _check_pool_fraction(self.pool_fraction)
 
 
 @dataclass(frozen=True)
@@ -116,32 +120,27 @@ InitStrategy = RandomInit | EndpointsInit | ProvidedInit
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Iteration budgets, stopping tolerance, initialization, optional recentering.
+    """Iteration budgets, stopping tolerance and initialization.
 
     `inner_basis_iters` repeats the (H, Y) Procrustes step within each outer
     iteration; every repetition is itself a descent step, so monotonicity is
     unaffected.  The default of 1 is the plain alternation; larger values
-    relax the basis block closer to its conditional optimum.  `time_center`
-    fits on the time axis shifted by it (see `fit`).  Neither speeds up a fit
-    that takes the Gauss-Newton step (k <= 22): that step crosses the
-    coupled H/Y/theta valley that both were meant to ease, so centering
-    saves no iterations on the planar problems, and the phase-transition
-    grid near the sample-complexity boundary reaches the same errors with
-    1, 3 or 10 basis repetitions.
+    relax the basis block closer to its conditional optimum.  That does not
+    speed up a fit that takes the Gauss-Newton step (k <= 22): the step
+    crosses the coupled H/Y/theta valley the repetitions were meant to
+    ease, and the phase-transition grid near the sample-complexity boundary
+    reaches the same errors with 1, 3 or 10 basis repetitions.
     """
 
     init: InitStrategy
     outer_iters: int = 200
     inner_basis_iters: int = 1
     rel_loss_tol: float = 1e-10
-    time_center: float | None = None
 
     def __post_init__(self) -> None:
         check_count("outer_iters", self.outer_iters, 1)
         check_count("inner_basis_iters", self.inner_basis_iters, 1)
         check_setting("rel_loss_tol", self.rel_loss_tol, 0)
-        if self.time_center is not None:
-            check_setting("time_center", self.time_center, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -478,8 +477,7 @@ def init_endpoints(dataset: Dataset, k: int, pool_fraction: float = 0.25) -> Geo
     rank-k principal basis of each pool, and returns the connecting
     geodesic.
     """
-    if not 0.0 < pool_fraction <= 0.5:
-        raise ValueError("pool_fraction must lie in (0, 0.5]")
+    _check_pool_fraction(pool_fraction)
     n_pool = ceil(pool_fraction * dataset.n_samples)
     first = np.concatenate(dataset.matrices[:n_pool], axis=1)
     last = np.concatenate(dataset.matrices[-n_pool:], axis=1)
@@ -707,7 +705,7 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
     updates fail to descend numerically (possible only at the
     floating-point noise floor) is reverted and treated as converged.  If
     that happens in the first iteration, the returned model is the initial
-    one, the same object unless `time_center` shifts it.
+    model object itself.
     `FitReport.stop_reason` records which of these ended the fit, or that
     the budget ran out.
 
@@ -725,23 +723,13 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
     take the step, so their iterates are those of the two block updates
     alone.
 
-    When `time_center` is set, fitting happens on the shifted axis
-    t - t_center and the returned model is re-expressed on the original
-    axis, so its evaluate() semantics are unchanged.
-
     `callback(model, loss_value)`, if given, runs after every outer
-    iteration with the current model in fitting coordinates.
+    iteration with the current model.
     """
     start = time.perf_counter()
     model = _initial_model(dataset, config.init)
     _check_dims(dataset, model)
-    work = dataset
-    t_center = config.time_center
-    if t_center is not None and t_center != 0.0:
-        work = dataset.with_times(dataset.times - t_center)
-        model = model.shifted_origin(t_center)
-
-    columns = _Columns(work)
+    columns = _Columns(dataset)
     edge = _EdgeStep(columns, model.k) if _step_system_fits(model.k) else None
     point = columns.evaluate(_stacked(model), model.theta)
     losses = [point.loss]
@@ -758,7 +746,7 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
             rank_collapsed |= not rank_ok
         proj = columns.project(q)
         constants = columns.constants(proj)
-        new_theta = _AngleStepper(constants.r, constants.phi, work.times).run(point.theta, _ANGLE_MM_STEPS)
+        new_theta = _AngleStepper(constants.r, constants.phi, dataset.times).run(point.theta, _ANGLE_MM_STEPS)
         block = columns.evaluate(q, new_theta, proj)
         previous = point.loss
         iters_run = n
@@ -784,8 +772,6 @@ def fit(dataset: Dataset, config: EstimatorConfig, callback=None) -> FitReport:
     # With no iteration accepted, the initial model stands as validated.
     if len(losses) > 1:
         model = GeodesicModel(point.H, point.Y, point.theta)
-    if t_center is not None and t_center != 0.0:
-        model = model.shifted_origin(-t_center)
     trail = np.asarray(losses)
     trail.flags.writeable = False
     return FitReport(

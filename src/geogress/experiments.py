@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 
 import numpy as np
@@ -73,7 +73,9 @@ class ExperimentSpec:
 
     `estimator` carries overrides keyed by EstimatorConfig field names plus
     `init` ("random" or "endpoints"), `init_theta_max` and `pool_fraction`;
-    any other key is rejected.
+    any other key is rejected.  `time_center`, in [0, 1], recentres the
+    data of a Landscape2D study (see `landscape_rows`); any other
+    experiment rejects it.
     """
 
     experiment: str
@@ -91,6 +93,7 @@ class ExperimentSpec:
     lambdas: tuple = (0.0, 1.0, 10.0, 100.0, 1000.0)
     omega_steps: int = 101
     theta_steps: int = 101
+    time_center: float | None = None
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -108,8 +111,15 @@ class ExperimentSpec:
         for name in ("trials", "base_seed", "omega_steps", "theta_steps"):
             if not is_integer(getattr(self, name)):
                 raise InvalidSpec(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.time_center is not None:
+            if self.experiment != "Landscape2D":
+                raise InvalidSpec(f"time_center applies only to Landscape2D, not {self.experiment}")
+            if not _is_real(self.time_center):
+                raise InvalidSpec(f"time_center must be a real number or null, got {self.time_center!r}")
         try:
             check_setting("base_seed", self.base_seed, 0)
+            if self.time_center is not None:
+                check_setting("time_center", self.time_center, 0, 1)
             for lam in self.lambdas:
                 check_setting("lambdas", lam, 0)
             for cell in itertools.product(self.d, self.k, self.ell, self.T, self.sigma, self.theta_max):
@@ -216,9 +226,9 @@ def landscape_rows(data: Dataset, omega_steps: int, theta_steps: int, time_cente
 
     The surface spans omega in [-pi/2, pi/2] by theta in [-pi, pi] (step =
     omega index * theta_steps + theta index).  A nonzero `time_center`
-    recentres the data first.  Only with a config is a fit run, on the
-    recentred data (so without the config's own time_center), giving one
-    iterate row per accepted outer iteration.
+    recentres the data first (`recenter_times`).  Only with a config is a
+    fit run, on the recentred data, giving one iterate row per accepted
+    outer iteration.
     """
     check_count("omega_steps", omega_steps, 1)
     check_count("theta_steps", theta_steps, 1)
@@ -235,7 +245,7 @@ def landscape_rows(data: Dataset, omega_steps: int, theta_steps: int, time_cente
     ]
     iterate_rows = []
     if config is not None:
-        pairs, report = record_iterates(data, replace(config, time_center=None))
+        pairs, report = record_iterates(data, config)
         iterate_rows = [
             [step, omega, theta, report.loss_per_outer_iter[step]]
             for step, (omega, theta) in enumerate(pairs, start=1)
@@ -275,8 +285,7 @@ def _loss_vs_rank_trial(spec: ExperimentSpec, prefix: list, cell: tuple, seed: i
 def _landscape_trial(spec: ExperimentSpec, prefix: list, cell: tuple, seed: int) -> list[list]:
     inst = planted_instance(*cell, seed)
     surface, iterates = landscape_rows(
-        inst.dataset, spec.omega_steps, spec.theta_steps, spec.estimator.get("time_center"),
-        _trial_config(spec, cell, seed),
+        inst.dataset, spec.omega_steps, spec.theta_steps, spec.time_center, _trial_config(spec, cell, seed)
     )
     return [prefix + ["surface"] + row for row in surface] + [prefix + ["iterate"] + row for row in iterates]
 

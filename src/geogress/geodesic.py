@@ -172,16 +172,6 @@ class GeodesicModel:
         """Stack of bases over `times`, shape (len(times), d, k)."""
         return _path(self.H, self.Y, self.theta, times)
 
-    def shifted_origin(self, t0: float) -> GeodesicModel:
-        """Reparameterize so time s on the result matches time t0 + s here.
-
-        The projector path is preserved exactly: result.evaluate(s) equals
-        self.evaluate(t0 + s) column by column.
-        """
-        c = np.cos(self.theta * t0)
-        s = np.sin(self.theta * t0)
-        return GeodesicModel(self.H * c + self.Y * s, -self.H * s + self.Y * c, self.theta)
-
     def canonicalize(self) -> GeodesicModel:
         """Equivalent model with theta >= 0, sorted descending.
 

@@ -65,9 +65,9 @@ def plane_coordinates(model: GeodesicModel) -> tuple[float, float]:
 def record_iterates(dataset: Dataset, config: EstimatorConfig):
     """Run a d=2, k=1 fit and collect (omega, theta) after each outer iteration.
 
-    When the config recenters time, the pairs live on the surface of the
-    correspondingly recentered dataset.  Returns (pairs, report) with one
-    pair per accepted outer iteration, shape (n, 2).
+    The pairs live on the surface of the dataset as given, so a study on a
+    recentred axis passes `recenter_times` data.  Returns (pairs, report)
+    with one pair per accepted outer iteration, shape (n, 2).
     """
     if dataset.d != 2:
         raise DimensionMismatch(f"iterate recording requires ambient dimension 2, got {dataset.d}")

@@ -24,7 +24,7 @@ from .dataset import Dataset
 from .errors import DimensionMismatch, EmptySegment, check_setting
 from .estimator import EstimatorConfig, ProvidedInit, fit, loss
 from .geodesic import GeodesicModel
-from .metrics import subspace_error
+from .metrics import _outside_span, subspace_error
 
 _TINY = np.finfo(float).tiny
 
@@ -137,7 +137,7 @@ def _knot_gap(left: GeodesicModel, right: GeodesicModel) -> float:
     """k - ||U^T V||_F^2 at a knot, in its residual form ||U - V V^T U||_F^2,
     which stays non-negative and accurate when the gap closes."""
     u, v = left.evaluate(1.0), right.evaluate(0.0)
-    resid = u - v @ (v.T @ u)
+    resid = _outside_span(u, v)
     return float(np.sum(resid * resid))
 
 

@@ -699,27 +699,6 @@ class TestFit:
         trail = report.loss_per_outer_iter
         assert np.all(trail[1:] <= trail[:-1] * (1 + 1e-10))
 
-    def test_time_center_preserves_semantics(self):
-        inst = planted_instance(14, 2, 1, 12, 1e-3, 1.3, seed=29)
-        base = EstimatorConfig(init=RandomInit(2, seed=3), outer_iters=50)
-        centered = EstimatorConfig(init=RandomInit(2, seed=3), outer_iters=50, time_center=0.5)
-        rep = fit(inst.dataset, centered)
-        # the returned model is expressed on the original axis: its loss on the
-        # original dataset equals the last recorded (centered-axis) loss
-        assert loss(inst.dataset, rep.model) == pytest.approx(rep.loss_per_outer_iter[-1], rel=1e-9)
-        # and both runs are valid monotone descents
-        rep_plain = fit(inst.dataset, base)
-        for r in (rep, rep_plain):
-            trail = r.loss_per_outer_iter
-            assert np.all(trail[1:] <= trail[:-1] * (1 + 1e-10))
-
-    def test_time_center_reexpression_preserves_projector_path(self):
-        m = random_geodesic(12, 2, 1.2, seed=30)
-        for t in np.linspace(0, 1, 9):
-            u = m.shifted_origin(0.5).shifted_origin(-0.5).evaluate(t)
-            v = m.evaluate(t)
-            assert np.linalg.norm(u @ u.T - v @ v.T) <= 1e-10
-
     def test_callback_sees_every_recorded_iteration(self):
         inst = planted_instance(10, 2, 1, 8, 1e-2, 1.2, seed=31)
         seen = []
@@ -766,8 +745,8 @@ class TestGaussNewtonStep:
     def test_row_class_normal_equations_match_dense_jacobian(self):
         # J^T J and J^T e built by row class against those of the dense
         # Jacobian: uniform data (one column at t = 0), ragged data on a
-        # recentred axis (negative times), a uniform axis recentred as
-        # `time_center` does it, k = 1, and 50,000 columns.
+        # recentred axis (negative times), a uniform axis recentred about
+        # 0.5 as `recenter_times` does it, k = 1, and 50,000 columns.
         uniform = planted_instance(12, 3, 2, 9, 0.1, 1.3, seed=80).dataset
         cases = (
             (uniform, 3),
@@ -988,7 +967,6 @@ class TestConfigValidation:
             (EstimatorConfig, "outer_iters"): (0, -1, nan, inf, 2.5, 3.0, True),
             (EstimatorConfig, "inner_basis_iters"): (0, nan, inf, 1.5, np.float64(2.0)),
             (EstimatorConfig, "rel_loss_tol"): (-1.0, nan, inf),
-            (EstimatorConfig, "time_center"): (-0.5, 1.5, nan, inf),
             (RandomInit, "k"): (0, -1, nan, inf, 2.5),
             (RandomInit, "theta_max"): (-0.1, 2.0, nan, inf),
             (RandomInit, "seed"): (-1, nan, inf, 1.5),
@@ -1005,8 +983,10 @@ class TestConfigValidation:
 
     def test_pool_fraction_bound_on_init_endpoints(self):
         inst = planted_instance(10, 2, 1, 8, 0.1, 1.0, seed=52)
-        with pytest.raises(ValueError):
-            init_endpoints(inst.dataset, 2, 0.8)
+        for value in (0.0, 0.8, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^pool_fraction must") as caught:
+                init_endpoints(inst.dataset, 2, value)
+            assert str(value) in str(caught.value)
 
 
 class TestInitEndpoints:

@@ -37,6 +37,10 @@ def tiny_spec(**overrides):
     return ExperimentSpec(**base)
 
 
+# The grids of a Landscape2D spec, the one experiment that takes a time_center.
+_PLANE = {"experiment": "Landscape2D", "d": [2], "k": [1]}
+
+
 class TestExperimentSpec:
     def test_scalar_grids_are_promoted(self):
         spec = ExperimentSpec(experiment="Convergence", d=12, k=2, T=5)
@@ -57,6 +61,18 @@ class TestExperimentSpec:
     def test_landscape_requires_plane(self):
         with pytest.raises(InvalidSpec):
             ExperimentSpec(experiment="Landscape2D", d=(40,), k=(1,))
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"experiment": "Convergence", "d": (12,), "k": (2,)},
+         "^time_center applies only to Landscape2D, not Convergence"),
+        ({"time_center": "0.5"}, "^time_center must be a real number or null, got '0.5'"),
+        ({"time_center": float("nan")}, r"^time_center must be finite and in \[0, 1\], got nan"),
+        ({"time_center": -0.1}, r"^time_center must be finite and in \[0, 1\], got -0.1"),
+    ], ids=["convergence", "string", "nan", "negative"])
+    def test_time_center_checked(self, overrides, message):
+        assert ExperimentSpec(**_PLANE, time_center=0.5).time_center == 0.5
+        with pytest.raises(InvalidSpec, match=message):
+            ExperimentSpec(**{**_PLANE, "time_center": 0.5, **overrides})
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(InvalidSpec):
@@ -81,16 +97,16 @@ class TestEstimatorConfig:
         expected = EstimatorConfig(init=RandomInit(3, seed=7))
         assert estimator_config({}, 3, 7) == expected
         none = {key: None for key in ("init", "init_theta_max", "pool_fraction", "outer_iters",
-                                      "inner_basis_iters", "rel_loss_tol", "time_center")}
+                                      "inner_basis_iters", "rel_loss_tol")}
         assert estimator_config(none, 3, 7) == expected
 
     def test_options_reach_their_fields(self):
         config = estimator_config(
             {"init": "endpoints", "pool_fraction": 0.5, "outer_iters": 9, "inner_basis_iters": 3,
-             "rel_loss_tol": 0.0, "time_center": 0.5, "unrelated": 1}, 2, 0)
+             "rel_loss_tol": 0.0, "unrelated": 1}, 2, 0)
         assert (config.init.k, config.init.pool_fraction) == (2, 0.5)
         assert (config.outer_iters, config.inner_basis_iters) == (9, 3)
-        assert (config.rel_loss_tol, config.time_center) == (0.0, 0.5)
+        assert config.rel_loss_tol == 0.0
         assert estimator_config({"init_theta_max": 0.3}, 1, 4).init == RandomInit(1, theta_max=0.3, seed=4)
 
     def test_trial_config_widens_pools_then_falls_back_to_random(self):
@@ -104,10 +120,9 @@ class TestEstimatorConfig:
     def test_config_surface_is_pinned(self):
         # A new estimator setting must show up here, in review.
         assert {f.name for f in fields(EstimatorConfig)} == {
-            "init", "outer_iters", "inner_basis_iters", "rel_loss_tol", "time_center"}
+            "init", "outer_iters", "inner_basis_iters", "rel_loss_tol"}
         assert set(_ESTIMATOR_OPTIONS) == {
-            "init", "init_theta_max", "pool_fraction", "outer_iters", "inner_basis_iters", "rel_loss_tol",
-            "time_center"}
+            "init", "init_theta_max", "pool_fraction", "outer_iters", "inner_basis_iters", "rel_loss_tol"}
 
     def test_unknown_init_rejected(self):
         with pytest.raises(InvalidSpec):
@@ -530,13 +545,18 @@ class TestCli:
         {"estimator": {"rel_loss_tol": "0"}},
         {"estimator": {"pool_fraction": [0.25]}},
         {"estimator": {"init_theta_max": "1"}},
-        {"estimator": {"time_center": "0.5"}},
+        {**_PLANE, "time_center": "0.5"},
         {"estimator": {"init": 1}},
+        {"estimator": {"time_center": 0.5}},
+        {**_PLANE, "time_center": float("nan")},
+        {**_PLANE, "time_center": 1.5},
+        {"time_center": 0.5},
     ], ids=["unknown-estimator-key", "estimator-not-object", "trials-string", "base-seed-float", "d-float",
             "k-string", "ell-bool", "T-float", "omega-steps-float", "theta-steps-none", "true-k-float",
             "true-k-bool", "sigma-string", "sigma-bool", "theta-max-null", "lambdas-string", "lambdas-nan", "lambdas-negative",
             "outer-iters-string", "inner-mm-iters-removed", "inner-basis-iters-bool", "rel-loss-tol-string",
-            "pool-fraction-list", "init-theta-max-string", "time-center-string", "init-number"])
+            "pool-fraction-list", "init-theta-max-string", "time-center-string", "init-number",
+            "time-center-estimator-removed", "time-center-nan", "time-center-above-one", "time-center-convergence"])
     def test_bad_experiment_config_exit_code(self, tmp_path, override):
         cfg = tmp_path / "exp.json"
         payload = {"experiment": "Convergence", "d": [10], "k": [2], "T": [10], "trials": 1,
@@ -550,8 +570,8 @@ class TestCli:
         # one trial of cell 0 has instance seed base_seed and a random init seeded base_seed ^ _INIT_SALT
         spec = ExperimentSpec(
             experiment="Landscape2D", d=(2,), k=(1,), ell=(2,), T=(7,), sigma=(0.05,), theta_max=(1.0,),
-            trials=1, base_seed=5, omega_steps=4, theta_steps=6,
-            estimator={"outer_iters": 30, "time_center": 0.5, "init_theta_max": 0.5},
+            trials=1, base_seed=5, omega_steps=4, theta_steps=6, time_center=0.5,
+            estimator={"outer_iters": 30, "init_theta_max": 0.5},
         )
         header, rows = run_experiment(spec)
         data = tmp_path / "plane.txt"
@@ -603,10 +623,22 @@ class TestCli:
         assert main(["fit", "--data", str(data), "--k", "2", "--outer-iters", "3", "--rel-loss-tol", "0"]) == 0
         assert "outer_iters=3 converged=False stop_reason=budget" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [
+        ["fit", "--k", "2"],
+        ["piecewise", "--knots", "0,0.5,1", "--k", "2", "--lambdas", "0"],
+    ], ids=["fit", "piecewise"])
+    def test_time_center_flag_only_on_landscape(self, tmp_path, command):
+        data, out = tmp_path / "data.txt", tmp_path / "out.txt"
+        save_dataset(planted_instance(10, 2, 1, 12, 0.01, 1.2, 4).dataset, data)
+        argv = [*command, "--data", str(data), "--outer-iters", "3", "--out", str(out)]
+        assert main([*argv, "--time-center", "0.5"]) == 1
+        assert not out.exists()
+        assert main(argv) == 0
+
     def test_option_strings_are_pinned(self):
         # A new knob must show up here, in review.
         common = {"-h", "--help"}
-        estimator = {"--outer-iters", "--inner-basis-iters", "--rel-loss-tol", "--time-center"}
+        estimator = {"--outer-iters", "--inner-basis-iters", "--rel-loss-tol"}
         init = {"--init", "--init-theta-max", "--pool-fraction", "--seed"}
         expected = {
             "fit": common | estimator | init | {"--data", "--k", "--out"},
@@ -616,7 +648,7 @@ class TestCli:
                                     "--theta-max", "--trials", "--seed", "--true-k", "--lambdas", "--init",
                                     "--out"},
             "landscape": common | estimator | {"--data", "--omega-steps", "--theta-steps", "--seed",
-                                               "--init-theta-max", "--out", "--iterates-out"},
+                                               "--init-theta-max", "--out", "--iterates-out", "--time-center"},
             "piecewise": common | estimator | init | {"--data", "--knots", "--k", "--lambdas", "--out",
                                                       "--models-out"},
         }

@@ -132,12 +132,6 @@ class TestGeodesicModel:
         for i, t in enumerate(ts):
             np.testing.assert_array_equal(stacked[i], m.evaluate(t))
 
-    def test_shifted_origin_preserves_path(self):
-        m = random_geodesic(10, 2, 1.3, seed=5)
-        sh = m.shifted_origin(0.37)
-        for t in (0.0, 0.2, 0.9):
-            np.testing.assert_allclose(sh.evaluate(t - 0.37), m.evaluate(t), atol=1e-13)
-
 
 class TestCanonicalize:
     def test_idempotent_on_canonical_model(self):

@@ -1,7 +1,5 @@
 """Plane (d=2, k=1) loss surface and iterate recording."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -77,21 +75,6 @@ class TestRecenterTimes:
         out = recenter_times(inst.dataset, 0.5)
         np.testing.assert_allclose(out.times, -out.times[::-1], atol=1e-15)
 
-    def test_shifted_fit_reexpression_matches_direct_semantics(self):
-        # fit on recentered data, then shift the model's origin: the projector
-        # path must satisfy U_shifted(t) ~ U_centered(t - t_center)
-        inst = planted_instance(2, 1, 1, 9, 1e-2, 1.2, seed=8)
-        cfg = EstimatorConfig(init=RandomInit(1, seed=9), outer_iters=60)
-        centered = recenter_times(inst.dataset, 0.5)
-        from geogress import fit
-
-        rep = fit(centered, cfg)
-        shifted = rep.model.shifted_origin(-0.5)
-        for t in np.linspace(0, 1, 7):
-            u = shifted.evaluate(t)
-            v = rep.model.evaluate(t - 0.5)
-            assert np.linalg.norm(u @ u.T - v @ v.T) <= 1e-10
-
 
 class TestPlaneCoordinates:
     def test_round_trip_preserves_projector_path(self):
@@ -126,27 +109,25 @@ class TestRecordIterates:
         # A claim about block descent, so the Gauss-Newton step is off:
         # with it, both fits stop within a few iterations (next test).
         inst = planted_instance(2, 1, 1, 9, 0.1, 1.2, seed=3)
-        plain = EstimatorConfig(init=RandomInit(1, theta_max=1.0, seed=11), outer_iters=400, rel_loss_tol=1e-9)
-        centered = EstimatorConfig(
-            init=RandomInit(1, theta_max=1.0, seed=11), outer_iters=400, rel_loss_tol=1e-9, time_center=0.5
-        )
+        config = EstimatorConfig(init=RandomInit(1, theta_max=1.0, seed=11), outer_iters=400, rel_loss_tol=1e-9)
+        centered = recenter_times(inst.dataset, 0.5)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimator, "_MAX_STEP_UNKNOWNS", 0)
-            _, rep_plain = record_iterates(inst.dataset, plain)
-            _, rep_centered = record_iterates(inst.dataset, centered)
+            _, rep_plain = record_iterates(inst.dataset, config)
+            _, rep_centered = record_iterates(centered, config)
         assert rep_centered.outer_iters_run < rep_plain.outer_iters_run
 
     def test_step_makes_centering_unneeded(self):
         # With the step, the plain fit stops within five iterations, before
         # block descent on the centred axis does, at the same loss.
         inst = planted_instance(2, 1, 1, 9, 0.1, 1.2, seed=3)
-        plain = EstimatorConfig(init=RandomInit(1, theta_max=1.0, seed=11), outer_iters=400, rel_loss_tol=1e-9)
-        centered = replace(plain, time_center=0.5)
-        _, rep_plain = record_iterates(inst.dataset, plain)
-        _, rep_centered = record_iterates(inst.dataset, centered)
+        config = EstimatorConfig(init=RandomInit(1, theta_max=1.0, seed=11), outer_iters=400, rel_loss_tol=1e-9)
+        centered = recenter_times(inst.dataset, 0.5)
+        _, rep_plain = record_iterates(inst.dataset, config)
+        _, rep_centered = record_iterates(centered, config)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimator, "_MAX_STEP_UNKNOWNS", 0)
-            _, block_centered = record_iterates(inst.dataset, centered)
+            _, block_centered = record_iterates(centered, config)
         assert rep_plain.outer_iters_run <= 5 and rep_centered.outer_iters_run <= 5
         assert rep_plain.outer_iters_run < block_centered.outer_iters_run
         for rep in (rep_centered, block_centered):
