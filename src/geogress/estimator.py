@@ -475,12 +475,13 @@ def init_endpoints(dataset: Dataset, k: int, pool_fraction: float = 0.25) -> Geo
 
     Pools the first and last ceil(pool_fraction * T) samples, takes the
     rank-k principal basis of each pool, and returns the connecting
-    geodesic.
+    geodesic.  Each pool is a column range of the dataset's stack, not a copy.
     """
     _check_pool_fraction(pool_fraction)
     n_pool = ceil(pool_fraction * dataset.n_samples)
-    first = np.concatenate(dataset.matrices[:n_pool], axis=1)
-    last = np.concatenate(dataset.matrices[-n_pool:], axis=1)
+    stack = dataset.column_stack()
+    first = stack[:, : sum(m.shape[1] for m in dataset.matrices[:n_pool])]
+    last = stack[:, stack.shape[1] - sum(m.shape[1] for m in dataset.matrices[-n_pool:]) :]
     if first.shape[1] < k or last.shape[1] < k:
         raise InitFailure(
             f"endpoint pools have {first.shape[1]} and {last.shape[1]} columns; need at least k={k}"

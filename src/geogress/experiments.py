@@ -233,6 +233,7 @@ def landscape_rows(data: Dataset, omega_steps: int, theta_steps: int, time_cente
     check_count("omega_steps", omega_steps, 1)
     check_count("theta_steps", theta_steps, 1)
     if time_center:
+        check_setting("time_center", time_center, 0, 1)
         data = recenter_times(data, time_center)
     omega_grid = np.linspace(-np.pi / 2, np.pi / 2, omega_steps)
     theta_grid = np.linspace(-np.pi, np.pi, theta_steps)

@@ -13,16 +13,22 @@ from .geodesic import GeodesicModel, connect, random_geodesic
 
 @dataclass(frozen=True)
 class PlantedInstance:
-    """A synthetic dataset together with the ground truth that generated it.
+    """A synthetic dataset together with what generated it.
 
-    X_i = U(t_i) G_i + N_i with the model U drawn at random, standard-normal
-    loadings G_i and i.i.d. Gaussian noise of standard deviation sigma;
-    `clean` holds the noiseless U(t_i) G_i.
+    X_i = U(t_i) G_i + N_i with the model U (`truth`) drawn at random, the
+    standard-normal loadings G_i (`loadings`, read-only k x ell arrays) and
+    i.i.d. Gaussian noise of standard deviation sigma.  Only the noisy data
+    are stored; `clean` computes the noiseless U(t_i) G_i on each access.
     """
 
     dataset: Dataset
     truth: GeodesicModel
-    clean: tuple[np.ndarray, ...]
+    loadings: tuple[np.ndarray, ...]
+
+    @property
+    def clean(self) -> tuple[np.ndarray, ...]:
+        """The noiseless matrices U(t_i) G_i, bitwise the products the data were drawn from."""
+        return tuple(self.truth.evaluate(t) @ g for t, g in zip(self.dataset.times, self.loadings))
 
 
 def sample_times(T: int) -> np.ndarray:
@@ -45,20 +51,20 @@ def check_instance_settings(d: int, k: int, ell: int, T: int, sigma: float, thet
 
 
 def _sample(rng: np.random.Generator, bases, ell: int, sigma: float):
-    """Noisy and clean matrices U_i G_i (+ sigma N_i), one per d x k basis U_i.
+    """Read-only loadings G_i and noisy matrices U_i G_i + sigma N_i, one per d x k basis U_i.
 
     `bases` is iterated once, in time order.  Per time the loadings G_i are
     drawn before the noise N_i, so the stream of a seed is fixed.
     """
-    noisy, clean = [], []
+    loadings, noisy = [], []
     for u in bases:
         d, k = u.shape
         g = rng.standard_normal((k, ell))
         n = rng.standard_normal((d, ell))
-        x = u @ g
-        clean.append(x)
-        noisy.append(x + sigma * n)
-    return tuple(noisy), tuple(clean)
+        g.flags.writeable = False
+        loadings.append(g)
+        noisy.append(u @ g + sigma * n)
+    return tuple(loadings), tuple(noisy)
 
 
 def planted_instance(
@@ -74,8 +80,8 @@ def planted_instance(
     rng = np.random.default_rng(seed)
     truth = random_geodesic(d, k, theta_max, rng)
     times = sample_times(T)
-    noisy, clean = _sample(rng, (truth.evaluate(t) for t in times), ell, sigma)
-    return PlantedInstance(dataset=Dataset(times, noisy), truth=truth, clean=clean)
+    loadings, noisy = _sample(rng, (truth.evaluate(t) for t in times), ell, sigma)
+    return PlantedInstance(dataset=Dataset(times, noisy), truth=truth, loadings=loadings)
 
 
 def permute_times(dataset: Dataset, seed: int) -> Dataset:
@@ -101,9 +107,10 @@ def planted_piecewise_instance(d: int, k: int, ell: int, T: int, sigma: float, t
     far = random_geodesic(d, k, theta_max, rng)
     second = connect(first.evaluate(1.0), far.evaluate(1.0))
     times = sample_times(T)
-    bases = (
+    bases = [
         first.evaluate(t / knot) if t <= knot else second.evaluate((t - knot) / (1.0 - knot)) for t in times
-    )
-    noisy, clean = _sample(rng, bases, ell, sigma)
+    ]
+    loadings, noisy = _sample(rng, bases, ell, sigma)
+    clean = tuple(u @ g for u, g in zip(bases, loadings))
     knots = np.array([0.0, knot, 1.0])
     return Dataset(times, noisy), (first, second), knots, clean

@@ -26,6 +26,7 @@ from geogress import (
     angle_loss_terms,
     angle_mm_step,
     basis_update,
+    connect,
     curvature_weight,
     fit,
     geodesic_error,
@@ -1009,6 +1010,27 @@ class TestInitEndpoints:
         inst = planted_instance(12, 4, 1, 4, 1e-3, 1.0, seed=35)
         with pytest.raises(InitFailure):
             init_endpoints(inst.dataset, 4, 0.25)
+
+    @pytest.mark.parametrize("pool_fraction", [0.25, 0.5])
+    def test_pools_from_the_stack_match_concatenated_pools(self, pool_fraction):
+        # The pools are column ranges of the dataset's stack; the reference
+        # concatenates the pooled samples into a fresh contiguous array.
+        # Wide pools take the Gram eigensolve, thin ones the SVD.
+        cases = [
+            (planted_instance(200, 8, 4, 200, 1e-3, 1.4, seed=36).dataset, 8),
+            (planted_instance(20, 4, 4, 24, 1e-3, 1.4, seed=37).dataset, 4),
+            (planted_instance(40, 8, 1, 32, 1e-5, 1.4, seed=38).dataset, 8),
+            (ragged_dataset(39), 2),
+            (ragged_dataset(40, d=12, T=24, sigma=1e-3), 2),
+        ]
+        for data, k in cases:
+            n_pool = int(np.ceil(pool_fraction * data.n_samples))
+            first = np.concatenate(data.matrices[:n_pool], axis=1)
+            last = np.concatenate(data.matrices[-n_pool:], axis=1)
+            reference = connect(estimator._endpoint_basis(first, k), estimator._endpoint_basis(last, k))
+            model = init_endpoints(data, k, pool_fraction)
+            for a, b in ((model.H, reference.H), (model.Y, reference.Y), (model.theta, reference.theta)):
+                assert np.array_equal(a, b)
 
 
 class TestReconstruct:

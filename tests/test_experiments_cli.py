@@ -434,6 +434,29 @@ class TestCli:
         assert len(surface.read_text().splitlines()) == 26
         assert iterates.read_text().splitlines()[0] == "step,omega,theta,loss"
 
+    @pytest.mark.parametrize("center", ["1.5", "-0.25", "nan"])
+    def test_landscape_time_center_named(self, tmp_path, capsys, center):
+        data = tmp_path / "plane.txt"
+        surface = tmp_path / "surface.csv"
+        save_dataset(planted_instance(2, 1, 1, 9, 0.05, 1.0, 3).dataset, data)
+        assert main(["landscape", "--data", str(data), "--time-center", center, "--out", str(surface)]) == 1
+        assert capsys.readouterr().err.startswith("error: time_center must")
+        assert not surface.exists()
+
+    def test_synth_clean_out_round_trip(self, tmp_path):
+        data, clean = tmp_path / "data.txt", tmp_path / "clean.txt"
+        assert main([
+            "synth", "--d", "12", "--k", "2", "--ell", "3", "--T", "16",
+            "--sigma", "0.1", "--theta-max", "1.2", "--seed", "5",
+            "--out", str(data), "--clean-out", str(clean),
+        ]) == 0
+        inst = planted_instance(12, 2, 3, 16, 0.1, 1.2, 5)
+        loaded = load_dataset(clean)
+        assert np.array_equal(loaded.times, inst.dataset.times)
+        assert len(loaded.matrices) == len(inst.clean)
+        for x, c in zip(loaded.matrices, inst.clean):
+            assert np.array_equal(x, c)
+
     @pytest.mark.parametrize("flag, steps, name", [
         ("--omega-steps", "0", "omega_steps"), ("--omega-steps", "-1", "omega_steps"), ("--theta-steps", "0", "theta_steps"),
     ])

@@ -1,5 +1,7 @@
 """Planted-instance generation and the static SVD baselines."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,27 @@ from geogress import (
     static_as_geodesic,
     subspace_error,
 )
-from geogress.geodesic import GeodesicModel
+from geogress.geodesic import GeodesicModel, random_geodesic
+from geogress.synth import PlantedInstance, sample_times
+
+
+def reference_planted(d, k, ell, T, sigma, theta_max, seed):
+    """The sampler that stored the clean matrices: (truth, noisy, clean).
+
+    Per time it draws the loadings, then the noise, and keeps both U(t) G
+    and U(t) G + sigma N.
+    """
+    rng = np.random.default_rng(seed)
+    truth = random_geodesic(d, k, theta_max, rng)
+    noisy, clean = [], []
+    for t in sample_times(T):
+        u = truth.evaluate(t)
+        g = rng.standard_normal((k, ell))
+        n = rng.standard_normal((d, ell))
+        x = u @ g
+        clean.append(x)
+        noisy.append(x + sigma * n)
+    return truth, noisy, clean
 
 
 class TestPlantedInstance:
@@ -52,6 +74,33 @@ class TestPlantedInstance:
         clean1 = planted_instance(10, 2, 2, 5, 0.7, 1.2, seed=5).clean
         for a, b in zip(clean0, clean1):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [
+        (200, 8, 4, 200, 1e-3, 1.4, 41),
+        (10, 2, 3, 6, 0.0, 1.3, 42),
+        (40, 8, 1, 32, 1e-5, 1.4, 43),
+        (8, 2, 3, 1, 0.1, 1.0, 44),
+    ], ids=["fit-wide", "noiseless", "ell-1", "one-time"])
+    def test_data_and_clean_match_the_storing_sampler(self, shape):
+        inst = planted_instance(*shape)
+        truth, noisy, clean = reference_planted(*shape)
+        for a, b in ((inst.truth.H, truth.H), (inst.truth.Y, truth.Y), (inst.truth.theta, truth.theta)):
+            assert np.array_equal(a, b)
+        assert len(inst.dataset.matrices) == len(inst.clean) == len(noisy)
+        for x, c, x_ref, c_ref in zip(inst.dataset.matrices, inst.clean, noisy, clean):
+            assert np.array_equal(x, x_ref)
+            assert np.array_equal(c, c_ref)
+
+    def test_holds_one_copy_of_the_data(self):
+        d, k, ell, T = 200, 8, 4, 200
+        inst = planted_instance(d, k, ell, T, 1e-3, 1.4, seed=45)
+        assert tuple(f.name for f in fields(PlantedInstance)) == ("dataset", "truth", "loadings")
+        assert len(inst.loadings) == T
+        for g in inst.loadings:
+            assert g.shape == (k, ell) and not g.flags.writeable
+        with pytest.raises(ValueError):
+            inst.loadings[0][0, 0] = 1.0
+        assert sum(g.nbytes for g in inst.loadings) * d == k * inst.dataset.column_stack().nbytes
 
     def test_time_grid(self):
         inst = planted_instance(8, 2, 1, 5, 0.0, 1.0, seed=6)
